@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -15,7 +14,6 @@
 #include "geometry/vec.hpp"
 #include "harness/stats.hpp"
 #include "harness/table.hpp"
-#include "obs/flatjson.hpp"
 #include "obs/json.hpp"
 
 // Build provenance for the bench JSON context block; the harness CMakeLists
@@ -80,98 +78,26 @@ bool write_bench_json(const std::string& path, std::string_view bench_name,
 }
 
 // ---------------------------------------------------------------------------
-// Parsing helpers. The documents are machine-written (obs::JsonWriter — no
-// pretty-printing, keys in known order, names without escapes), so targeted
-// extraction is enough: find the container key, brace/bracket-match each
-// element, hand flat fragments to obs::flatjson. Anything unexpected yields
-// nullopt rather than a partial result.
-
-namespace {
-
-/// Extent of the balanced {...} or [...] starting at `open`, skipping string
-/// contents. npos on imbalance.
-std::size_t match_bracket(std::string_view doc, std::size_t open) {
-  const char oc = doc[open];
-  const char cc = oc == '{' ? '}' : ']';
-  int depth = 0;
-  bool in_string = false;
-  for (std::size_t i = open; i < doc.size(); ++i) {
-    const char c = doc[i];
-    if (in_string) {
-      if (c == '\\') {
-        ++i;
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    if (c == '"') {
-      in_string = true;
-    } else if (c == oc || (oc == '{' && c == '[')) {
-      ++depth;
-    } else if (c == cc || (oc == '{' && c == ']')) {
-      --depth;
-      if (depth == 0 && c == cc) return i;
-    }
-  }
-  return std::string_view::npos;
-}
-
-/// Value of a top-level string field ("key":"value"); nullopt if absent.
-std::optional<std::string> string_field(std::string_view doc,
-                                        std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":\"";
-  const auto pos = doc.find(needle);
-  if (pos == std::string_view::npos) return std::nullopt;
-  const auto start = pos + needle.size();
-  const auto end = doc.find('"', start);
-  if (end == std::string_view::npos) return std::nullopt;
-  return std::string(doc.substr(start, end - start));
-}
-
-/// Value of an unsigned integer field ("key":123) inside a flat fragment.
-std::optional<std::uint64_t> u64_field(std::string_view body,
-                                       std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":";
-  const auto pos = body.find(needle);
-  if (pos == std::string_view::npos) return std::nullopt;
-  const std::string digits(body.substr(pos + needle.size()));
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(digits.c_str(), &end, 10);
-  if (end == digits.c_str()) return std::nullopt;
-  return v;
-}
-
-}  // namespace
+// Readers. Both documents go through obs::parse_json, so a malformed or
+// truncated file is rejected whole rather than half-read.
 
 std::optional<BenchDoc> parse_bench_json(std::string_view doc) {
-  const auto schema = string_field(doc, "schema");
-  if (!schema || *schema != kBenchSchema) return std::nullopt;
+  const auto root = obs::parse_json(doc);
+  if (!root || (*root)["schema"].text() != kBenchSchema) return std::nullopt;
+  const obs::JsonValue* metrics = root->find("metrics");
+  if (metrics == nullptr || metrics->kind() != obs::JsonValue::Kind::kArray) {
+    return std::nullopt;
+  }
   BenchDoc out;
-  if (const auto bench = string_field(doc, "bench")) out.bench = *bench;
-
-  const auto metrics_key = doc.find("\"metrics\":[");
-  if (metrics_key == std::string_view::npos) return std::nullopt;
-  const auto array_open = metrics_key + std::string_view("\"metrics\":").size();
-  const auto array_close = match_bracket(doc, array_open);
-  if (array_close == std::string_view::npos) return std::nullopt;
-
-  std::size_t pos = array_open + 1;
-  while (pos < array_close) {
-    const auto obj_open = doc.find('{', pos);
-    if (obj_open == std::string_view::npos || obj_open >= array_close) break;
-    const auto obj_close = match_bracket(doc, obj_open);
-    if (obj_close == std::string_view::npos) return std::nullopt;
-    const auto fields = obs::flatjson::parse_flat_object(
-        doc.substr(obj_open, obj_close - obj_open + 1));
+  out.bench = (*root)["bench"].text();
+  for (const auto& item : metrics->items()) {
     BenchMetric m;
-    m.name = obs::flatjson::str(fields, "name");
-    m.unit = obs::flatjson::str(fields, "unit");
-    m.value = obs::flatjson::real(fields, "value");
-    m.repetitions = obs::flatjson::num(fields, "repetitions");
+    m.name = item["name"].text();
+    m.unit = item["unit"].text();
+    m.value = item["value"].as_double();
+    m.repetitions = item["repetitions"].as_u64();
     if (m.name.empty()) return std::nullopt;
     out.metrics.push_back(std::move(m));
-    pos = obj_close + 1;
   }
   return out;
 }
@@ -188,56 +114,32 @@ std::optional<BenchDoc> load_bench_json(const std::string& path) {
 }
 
 std::optional<std::vector<PhaseRow>> parse_perf_json(std::string_view doc) {
-  const auto schema = string_field(doc, "schema");
-  if (!schema || *schema != kPerfSchema) return std::nullopt;
-  const auto phases_key = doc.find("\"phases\":{");
-  if (phases_key == std::string_view::npos) return std::nullopt;
-  const auto obj_open = phases_key + std::string_view("\"phases\":").size();
-  const auto obj_close = match_bracket(doc, obj_open);
-  if (obj_close == std::string_view::npos) return std::nullopt;
+  const auto root = obs::parse_json(doc);
+  if (!root || (*root)["schema"].text() != kPerfSchema) return std::nullopt;
+  const obs::JsonValue* phases = root->find("phases");
+  if (phases == nullptr || !phases->is_object()) return std::nullopt;
 
   std::vector<PhaseRow> rows;
-  std::size_t pos = obj_open + 1;
-  while (pos < obj_close) {
-    const auto name_open = doc.find('"', pos);
-    if (name_open == std::string_view::npos || name_open >= obj_close) break;
-    const auto name_close = doc.find('"', name_open + 1);
-    if (name_close == std::string_view::npos) return std::nullopt;
-    const auto body_open = doc.find('{', name_close + 1);
-    if (body_open == std::string_view::npos) return std::nullopt;
-    const auto body_close = match_bracket(doc, body_open);
-    if (body_close == std::string_view::npos) return std::nullopt;
-    const auto body = doc.substr(body_open, body_close - body_open + 1);
-
-    PhaseRow row;
-    row.name = std::string(doc.substr(name_open + 1, name_close - name_open - 1));
-    const auto count = u64_field(body, "count");
-    const auto total = u64_field(body, "total_ns");
-    const auto self = u64_field(body, "self_ns");
-    if (!count || !total || !self) return std::nullopt;
-    row.count = *count;
-    row.total_ns = *total;
-    row.self_ns = *self;
-    row.min_ns = u64_field(body, "min_ns").value_or(0);
-    row.max_ns = u64_field(body, "max_ns").value_or(0);
-    const auto buckets_key = body.find("\"buckets\":[");
-    if (buckets_key != std::string_view::npos) {
-      const auto arr_open = buckets_key + std::string_view("\"buckets\":").size();
-      const auto arr_close = match_bracket(body, arr_open);
-      if (arr_close == std::string_view::npos) return std::nullopt;
-      std::string elems(body.substr(arr_open + 1, arr_close - arr_open - 1));
-      const char* p = elems.c_str();
-      while (*p != '\0') {
-        char* end = nullptr;
-        const std::uint64_t v = std::strtoull(p, &end, 10);
-        if (end == p) break;
-        row.buckets.push_back(v);
-        p = end;
-        while (*p == ',' || *p == ' ') ++p;
-      }
+  rows.reserve(phases->items().size());
+  for (std::size_t i = 0; i < phases->items().size(); ++i) {
+    const obs::JsonValue& body = phases->items()[i];
+    // count/total_ns/self_ns are required; the rest default to 0 / empty.
+    const auto required = [&body](std::string_view key) {
+      const obs::JsonValue* v = body.find(key);
+      return v != nullptr && v->kind() == obs::JsonValue::Kind::kNumber;
+    };
+    if (!required("count") || !required("total_ns") || !required("self_ns")) {
+      return std::nullopt;
     }
+    PhaseRow row;
+    row.name = phases->keys()[i];
+    row.count = body["count"].as_u64();
+    row.total_ns = body["total_ns"].as_u64();
+    row.self_ns = body["self_ns"].as_u64();
+    row.min_ns = body["min_ns"].as_u64();
+    row.max_ns = body["max_ns"].as_u64();
+    row.buckets = body["buckets"].u64s();
     rows.push_back(std::move(row));
-    pos = body_close + 1;
   }
   return rows;
 }

@@ -297,9 +297,9 @@ void write_metrics_json(const RunSpec& spec, const RunResult& result,
   w.kv("delays", result.fault_delays);
   w.end_object();
 
-  // Per-party progress (thread backend; arrays empty on the simulator).
-  // Scalars first, then numeric arrays only — the block stays parseable by
-  // obs/report.cpp's flat-object extraction (no nested '}').
+  // Per-party progress (thread backend; arrays empty on the simulator),
+  // rendered by `hydra report`. The field order is part of the
+  // byte-identical metrics contract, so new fields go at the end.
   w.key("progress");
   w.begin_object();
   w.kv("backend", spec.backend);
@@ -326,9 +326,7 @@ void write_metrics_json(const RunSpec& spec, const RunResult& result,
   w.end_object();
 
   // Socket-transport link health; omitted entirely when all-zero so
-  // sim/threads metrics stay byte-identical to previous releases. Contains
-  // arrays, so flat-object readers must use the array-aware parser
-  // (obs/flatjson.hpp parse_object_arrays).
+  // sim/threads metrics stay byte-identical to previous releases.
   const net::TransportHealth& th = result.transport_health;
   if (th.any()) {
     w.key("transport_health");

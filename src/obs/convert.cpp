@@ -6,15 +6,10 @@
 #include <string>
 #include <string_view>
 
-#include "obs/flatjson.hpp"
 #include "obs/json.hpp"
 
 namespace hydra::obs {
 namespace {
-
-using flatjson::num;
-using flatjson::parse_flat_object;
-using flatjson::str;
 
 /// Emits the shared prefix of one traceEvents entry.
 void event_header(JsonWriter& w, std::string_view name, std::string_view ph,
@@ -40,70 +35,71 @@ std::size_t chrome_trace_from_jsonl(std::istream& in, std::ostream& out) {
   std::set<std::int64_t> tids;
   std::string line;
   while (std::getline(in, line)) {
-    const auto kv = parse_flat_object(line);
-    const std::string ev = str(kv, "ev");
+    const auto doc = parse_json(line);
+    if (!doc) continue;
+    const JsonValue& kv = *doc;
+    const std::string& ev = kv["ev"].text();
     if (ev.empty()) continue;
-    const std::int64_t t = num(kv, "t");
+    const std::int64_t t = kv["t"].as_i64();
 
     if (ev == "send" || ev == "deliver") {
-      const std::int64_t tid = ev == "send" ? num(kv, "from") : num(kv, "to");
+      const std::int64_t tid = ev == "send" ? kv["from"].as_i64() : kv["to"].as_i64();
       tids.insert(tid);
-      const std::string name = ev + " tag" + str(kv, "tag") + " k" + str(kv, "kind");
+      const std::string name = ev + " tag" + kv["tag"].text() + " k" + kv["kind"].text();
       event_header(w, name, "i", t, tid);
       w.kv("s", "t");
       w.key("args");
       w.begin_object();
-      w.kv("from", num(kv, "from"));
-      w.kv("to", num(kv, "to"));
-      w.kv("tag", num(kv, "tag"));
-      w.kv("a", num(kv, "a"));
-      w.kv("b", num(kv, "b"));
-      w.kv("kind", num(kv, "kind"));
-      w.kv("bytes", num(kv, "bytes"));
+      w.kv("from", kv["from"].as_i64());
+      w.kv("to", kv["to"].as_i64());
+      w.kv("tag", kv["tag"].as_i64());
+      w.kv("a", kv["a"].as_i64());
+      w.kv("b", kv["b"].as_i64());
+      w.kv("kind", kv["kind"].as_i64());
+      w.kv("bytes", kv["bytes"].as_i64());
       w.end_object();
       w.end_object();
     } else if (ev == "state") {
-      const std::int64_t tid = num(kv, "party");
+      const std::int64_t tid = kv["party"].as_i64();
       tids.insert(tid);
-      event_header(w, str(kv, "layer") + ":" + str(kv, "what"), "i", t, tid);
+      event_header(w, kv["layer"].text() + ":" + kv["what"].text(), "i", t, tid);
       w.kv("s", "t");
       w.key("args");
       w.begin_object();
-      w.kv("a", num(kv, "a"));
-      w.kv("b", num(kv, "b"));
+      w.kv("a", kv["a"].as_i64());
+      w.kv("b", kv["b"].as_i64());
       w.end_object();
       w.end_object();
     } else if (ev == "round_start" || ev == "round_end") {
-      const std::int64_t tid = num(kv, "party");
+      const std::int64_t tid = kv["party"].as_i64();
       tids.insert(tid);
-      event_header(w, "it " + str(kv, "it"), ev == "round_start" ? "B" : "E", t, tid);
+      event_header(w, "it " + kv["it"].text(), ev == "round_start" ? "B" : "E", t, tid);
       w.key("args");
       w.begin_object();
-      w.kv("it", num(kv, "it"));
+      w.kv("it", kv["it"].as_i64());
       w.end_object();
       w.end_object();
     } else if (ev == "scalar") {
-      const std::int64_t tid = num(kv, "party");
+      const std::int64_t tid = kv["party"].as_i64();
       tids.insert(tid);
-      const std::string name = str(kv, "name") + " p" + str(kv, "party");
+      const std::string name = kv["name"].text() + " p" + kv["party"].text();
       event_header(w, name, "C", t, tid);
       w.key("args");
       w.begin_object();
-      const auto it = kv.find("value");
-      w.kv("value", it == kv.end() ? 0.0 : std::strtod(it->second.c_str(), nullptr));
+      w.kv("value", kv["value"].as_double());
       w.end_object();
       w.end_object();
     } else if (ev == "invariant.violation") {
-      const std::int64_t tid = num(kv, "party");
+      const std::int64_t tid = kv["party"].as_i64();
       tids.insert(tid);
-      event_header(w, "VIOLATION " + str(kv, "monitor"), "i", t, tid);
+      event_header(w, "VIOLATION " + kv["monitor"].text(), "i", t, tid);
       w.kv("s", "g");  // global scope: violations should jump out in the UI
       w.key("args");
       w.begin_object();
-      w.kv("monitor", str(kv, "monitor"));
-      w.kv("it", num(kv, "it"));
-      w.kv("cause", num(kv, "cause"));
-      w.kv("detail", str(kv, "detail"));
+      w.kv("monitor", kv["monitor"].text());
+      w.kv("it", kv["it"].as_i64());
+      w.kv("cause", kv["cause"].as_i64());
+      w.kv("detail", kv["detail"].text());
       w.end_object();
       w.end_object();
     } else if (ev == "log") {
@@ -111,8 +107,8 @@ std::size_t chrome_trace_from_jsonl(std::istream& in, std::ostream& out) {
       w.kv("s", "g");
       w.key("args");
       w.begin_object();
-      w.kv("level", num(kv, "level"));
-      w.kv("msg", str(kv, "msg"));
+      w.kv("level", kv["level"].as_i64());
+      w.kv("msg", kv["msg"].text());
       w.end_object();
       w.end_object();
     } else {

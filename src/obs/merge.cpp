@@ -12,7 +12,6 @@
 #include "domain/domain.hpp"
 #include "geometry/vec.hpp"
 #include "obs/context.hpp"
-#include "obs/flatjson.hpp"
 #include "obs/json.hpp"
 #include "obs/monitor.hpp"
 
@@ -21,14 +20,14 @@ namespace {
 
 struct Event {
   std::string raw;  ///< the original line, emitted verbatim
-  std::map<std::string, std::string> kv;
+  JsonValue kv;
   Time t = 0;
 };
 
 struct Stream {
   std::uint32_t proc = 0;
   std::string meta_raw;
-  std::map<std::string, std::string> meta;
+  JsonValue meta;  ///< null until the meta line is read
   std::vector<Event> events;
   bool has_end = false;
   bool complete = false;
@@ -45,23 +44,6 @@ std::string format_err(const char* fmt, const std::string& a,
   return buf;
 }
 
-/// Splits the balanced "[[...],[...]]" capture of an obc `pairs` value into
-/// its top-level elements (each itself a "[...]" capture).
-std::vector<std::string> split_top_level(std::string_view array_text) {
-  std::vector<std::string> out;
-  int depth = 0;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i < array_text.size(); ++i) {
-    const char c = array_text[i];
-    if (c == '[') {
-      if (++depth == 2) start = i;
-    } else if (c == ']') {
-      if (--depth == 1) out.emplace_back(array_text.substr(start, i - start + 1));
-    }
-  }
-  return out;
-}
-
 /// The merge's tolerant line loader: parse failures (a line torn by a kill,
 /// or junk) are skipped and counted, never fatal — a partial trace from a
 /// SIGTERM'd process must still merge.
@@ -75,35 +57,35 @@ bool load_stream(const std::string& path, Stream& s, std::size_t& skipped,
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
-    auto kv = flatjson::parse_object_arrays(line);
-    if (kv.empty()) {
+    auto kv = parse_json(line);
+    if (!kv || !kv->is_object()) {
       ++skipped;
       continue;
     }
-    const std::string ev = flatjson::str(kv, "ev");
+    const std::string ev = (*kv)["ev"].text();
     if (ev == "meta") {
-      if (!s.meta.empty()) {
+      if (s.meta.is_object()) {
         error = format_err("trace %s has more than one meta event", path);
         return false;
       }
       s.meta_raw = line;
-      s.meta = std::move(kv);
-      s.proc = static_cast<std::uint32_t>(flatjson::num(s.meta, "proc"));
+      s.meta = std::move(*kv);
+      s.proc = static_cast<std::uint32_t>(s.meta["proc"].as_i64());
       continue;
     }
     if (ev == "end") {
       s.has_end = true;
-      s.complete = flatjson::num(kv, "complete") != 0;
-      s.quiescent = flatjson::num(kv, "quiescent") != 0;
+      s.complete = (*kv)["complete"].as_i64() != 0;
+      s.quiescent = (*kv)["quiescent"].as_i64() != 0;
       continue;
     }
     Event e;
-    e.t = flatjson::num(kv, "t");
+    e.t = (*kv)["t"].as_i64();
     e.raw = line;
-    e.kv = std::move(kv);
+    e.kv = std::move(*kv);
     s.events.push_back(std::move(e));
   }
-  if (s.meta.empty()) {
+  if (!s.meta.is_object()) {
     error = format_err(
         "trace %s has no meta event — not a merge-able hydra trace "
         "(re-run with --trace-out on a current build)",
@@ -148,12 +130,11 @@ MergeResult merge_traces(const std::vector<std::string>& paths) {
   }
   for (std::size_t i = 1; i < streams.size(); ++i) {
     for (const char* key : kSpecKeys) {
-      if (flatjson::str(streams[i].meta, key) !=
-          flatjson::str(streams[0].meta, key)) {
+      if (streams[i].meta[key].text() != streams[0].meta[key].text()) {
         res.error = format_err(
             "meta mismatch on \"%s\": the traces are from different runs "
             "(value %s differs from the first file's)",
-            key, flatjson::str(streams[i].meta, key));
+            key, streams[i].meta[key].text());
         return res;
       }
     }
@@ -179,8 +160,8 @@ MergeResult merge_traces(const std::vector<std::string>& paths) {
   std::set<std::uint64_t> all_send_ids;
   for (const Stream& s : streams) {
     for (const Event& e : s.events) {
-      if (flatjson::str(e.kv, "ev") == "send") {
-        if (const auto id = flatjson::unum(e.kv, "id"); id != 0) {
+      if (e.kv["ev"].text() == "send") {
+        if (const auto id = e.kv["id"].as_u64(); id != 0) {
           all_send_ids.insert(id);
         }
       }
@@ -206,8 +187,8 @@ MergeResult merge_traces(const std::vector<std::string>& paths) {
 
   const auto head_blocked = [&](const Stream& s) {
     const Event& e = s.events[s.head];
-    if (flatjson::str(e.kv, "ev") != "deliver") return false;
-    const auto cause = flatjson::unum(e.kv, "cause");
+    if (e.kv["ev"].text() != "deliver") return false;
+    const auto cause = e.kv["cause"].as_u64();
     if (cause == 0 || emitted_sends.contains(cause)) return false;
     return all_send_ids.contains(cause);
   };
@@ -236,13 +217,13 @@ MergeResult merge_traces(const std::vector<std::string>& paths) {
     const Event& e = s.events[s.head];
     ++s.head;
 
-    const std::string ev = flatjson::str(e.kv, "ev");
+    const std::string ev = e.kv["ev"].text();
     if (ev == "send") {
-      if (const auto id = flatjson::unum(e.kv, "id"); id != 0) {
+      if (const auto id = e.kv["id"].as_u64(); id != 0) {
         emitted_sends.insert(id);
       }
     } else if (ev == "deliver") {
-      const auto cause = flatjson::unum(e.kv, "cause");
+      const auto cause = e.kv["cause"].as_u64();
       if (cause != 0 && !emitted_sends.contains(cause)) {
         orphaned.insert(cause);
       }
@@ -258,28 +239,28 @@ MergeResult merge_traces(const std::vector<std::string>& paths) {
   res.orphans = orphaned.size();
 
   // ---- global monitor re-evaluation over the merged timeline -------------
-  const std::string mode_str = flatjson::str(streams[0].meta, "mode");
+  const std::string& mode_str = streams[0].meta["mode"].text();
   const auto mode = parse_monitor_mode(mode_str);
   if (res.complete && mode && *mode != MonitorMode::kOff) {
     const auto& meta = streams[0].meta;
     MonitorHost::Config cfg;
     cfg.mode = MonitorMode::kRecord;  // re-runs judge, never abort
-    cfg.n = static_cast<std::size_t>(flatjson::num(meta, "n"));
-    cfg.ts = static_cast<std::size_t>(flatjson::num(meta, "ts"));
-    cfg.ta = static_cast<std::size_t>(flatjson::num(meta, "ta"));
-    cfg.dim = static_cast<std::size_t>(flatjson::num(meta, "dim"));
-    cfg.eps = flatjson::real(meta, "eps");
-    cfg.contraction_factor = flatjson::real(meta, "contraction");
-    cfg.hull_tol = flatjson::real(meta, "hull_tol");
+    cfg.n = static_cast<std::size_t>(meta["n"].as_i64());
+    cfg.ts = static_cast<std::size_t>(meta["ts"].as_i64());
+    cfg.ta = static_cast<std::size_t>(meta["ta"].as_i64());
+    cfg.dim = static_cast<std::size_t>(meta["dim"].as_i64());
+    cfg.eps = meta["eps"].as_double();
+    cfg.contraction_factor = meta["contraction"].as_double();
+    cfg.hull_tol = meta["hull_tol"].as_double();
     // Absent "domain" key = pre-domain-layer trace = Euclidean (nullptr).
-    if (const auto dom_name = flatjson::str(meta, "domain"); !dom_name.empty()) {
+    if (const auto dom_name = meta["domain"].text(); !dom_name.empty()) {
       cfg.domain = hydra::domain::find(dom_name);
     }
-    cfg.budget.msgs_fixed = flatjson::unum(meta, "msgs_fixed");
-    cfg.budget.msgs_per_iteration = flatjson::unum(meta, "msgs_per_it");
-    cfg.budget.bytes_fixed = flatjson::unum(meta, "bytes_fixed");
-    cfg.budget.bytes_per_iteration = flatjson::unum(meta, "bytes_per_it");
-    const auto honest_raw = flatjson::parse_reals(flatjson::str(meta, "honest"));
+    cfg.budget.msgs_fixed = meta["msgs_fixed"].as_u64();
+    cfg.budget.msgs_per_iteration = meta["msgs_per_it"].as_u64();
+    cfg.budget.bytes_fixed = meta["bytes_fixed"].as_u64();
+    cfg.budget.bytes_per_iteration = meta["bytes_per_it"].as_u64();
+    const auto honest_raw = meta["honest"].reals();
     cfg.honest.assign(cfg.n, true);
     for (std::size_t i = 0; i < honest_raw.size() && i < cfg.n; ++i) {
       cfg.honest[i] = honest_raw[i] != 0.0;
@@ -289,10 +270,10 @@ MergeResult merge_traces(const std::vector<std::string>& paths) {
     // to the live single-process monitor's.
     std::map<PartyId, geo::Vec> inputs;
     for (const Event* e : merged_order) {
-      if (flatjson::str(e->kv, "ev") != "input") continue;
-      const auto party = static_cast<PartyId>(flatjson::num(e->kv, "party"));
+      if (e->kv["ev"].text() != "input") continue;
+      const auto party = static_cast<PartyId>(e->kv["party"].as_i64());
       inputs.emplace(party,
-                     geo::Vec(flatjson::parse_reals(flatjson::str(e->kv, "v"))));
+                     geo::Vec(e->kv["v"].reals()));
     }
     for (const auto& [party, v] : inputs) {
       if (party < cfg.honest.size() && cfg.honest[party]) {
@@ -306,36 +287,35 @@ MergeResult merge_traces(const std::vector<std::string>& paths) {
     Context quiet;
     const ScopedContext scope(&quiet);
     for (const Event* e : merged_order) {
-      const std::string ev = flatjson::str(e->kv, "ev");
+      const std::string ev = e->kv["ev"].text();
       const auto t = e->t;
-      const auto party = static_cast<PartyId>(flatjson::num(e->kv, "party"));
-      const auto cause = flatjson::unum(e->kv, "cause");
+      const auto party = static_cast<PartyId>(e->kv["party"].as_i64());
+      const auto cause = e->kv["cause"].as_u64();
       if (ev == "send") {
-        const auto from = static_cast<PartyId>(flatjson::num(e->kv, "from"));
-        const auto to = static_cast<PartyId>(flatjson::num(e->kv, "to"));
+        const auto from = static_cast<PartyId>(e->kv["from"].as_i64());
+        const auto to = static_cast<PartyId>(e->kv["to"].as_i64());
         if (from != to) {
           host.on_send(t, from,
-                       static_cast<std::size_t>(flatjson::num(e->kv, "bytes")));
+                       static_cast<std::size_t>(e->kv["bytes"].as_i64()));
         }
       } else if (ev == "value") {
         host.begin_dispatch(cause);
         host.on_value(t, party,
-                      static_cast<std::uint32_t>(flatjson::num(e->kv, "it")),
-                      geo::Vec(flatjson::parse_reals(flatjson::str(e->kv, "v"))));
+                      static_cast<std::uint32_t>(e->kv["it"].as_i64()),
+                      geo::Vec(e->kv["v"].reals()));
         host.end_dispatch();
       } else if (ev == "rbc") {
         host.begin_dispatch(cause);
         host.on_rbc_digest(t, party,
-                           static_cast<std::uint32_t>(flatjson::num(e->kv, "tag")),
-                           static_cast<std::uint32_t>(flatjson::num(e->kv, "a")),
-                           static_cast<std::uint32_t>(flatjson::num(e->kv, "b")),
-                           flatjson::unum(e->kv, "h"));
+                           static_cast<std::uint32_t>(e->kv["tag"].as_i64()),
+                           static_cast<std::uint32_t>(e->kv["a"].as_i64()),
+                           static_cast<std::uint32_t>(e->kv["b"].as_i64()),
+                           e->kv["h"].as_u64());
         host.end_dispatch();
       } else if (ev == "obc") {
         std::vector<std::pair<PartyId, geo::Vec>> pairs;
-        for (const auto& elem :
-             split_top_level(flatjson::str(e->kv, "pairs"))) {
-          const auto nums = flatjson::parse_reals(elem);
+        for (const auto& elem : e->kv["pairs"].items()) {
+          const auto nums = elem.reals();
           if (nums.empty()) continue;
           pairs.emplace_back(
               static_cast<PartyId>(nums[0]),
@@ -343,7 +323,7 @@ MergeResult merge_traces(const std::vector<std::string>& paths) {
         }
         host.begin_dispatch(cause);
         host.on_obc_output(
-            t, party, static_cast<std::uint32_t>(flatjson::num(e->kv, "it")),
+            t, party, static_cast<std::uint32_t>(e->kv["it"].as_i64()),
             pairs);
         host.end_dispatch();
       }
@@ -372,9 +352,9 @@ MergeResult merge_traces(const std::vector<std::string>& paths) {
   } else {
     // No re-run: the verdict is whatever local violation lines survived.
     for (const Event* e : merged_order) {
-      if (flatjson::str(e->kv, "ev") == "invariant.violation") {
+      if (e->kv["ev"].text() == "invariant.violation") {
         res.violations += 1;
-        res.violations_by_monitor[flatjson::str(e->kv, "monitor")] += 1;
+        res.violations_by_monitor[e->kv["monitor"].text()] += 1;
       }
     }
   }

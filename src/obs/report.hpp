@@ -21,7 +21,8 @@ struct ReportOptions {
 /// Reads a JSONL trace from `trace` and renders a report to `out`.
 /// `metrics_json` is the raw contents of the run's --metrics-json document
 /// (may be empty: the spec/verdict sections are skipped then). Returns the
-/// number of trace events consumed; 0 means the trace was empty/unreadable.
+/// number of trace events: every parseable line with an `ev` other than the
+/// `meta` header and the `end` marker; 0 means the trace had none.
 std::size_t render_report(std::istream& trace, const std::string& metrics_json,
                           const ReportOptions& options, std::ostream& out);
 

@@ -270,8 +270,8 @@ void TraceSink::obc(
   w.kv("t", std::int64_t{t});
   w.kv("party", std::uint64_t{party});
   w.kv("it", iteration);
-  // Each pair as [q, x0, x1, ...]: flat arrays keep the line parseable by
-  // the same brace-free scanner the merge tool uses for "v".
+  // Each pair as [q, x0, x1, ...]; the merge tool reads it back in this
+  // layout, so it is part of the trace format.
   w.key("pairs");
   w.begin_array();
   for (const auto& [q, vec] : pairs) {

@@ -22,11 +22,14 @@ using protocols::AaParty;
 
 /// One instance's monitoring kit: a MonitorHost plus the private registry
 /// and context that scope its hooks to exactly that instance's dispatches.
+/// `profiler` is the one in force when run_serve was entered, so phase
+/// scopes inside an instance's dispatches keep recording.
 struct InstanceObs {
-  explicit InstanceObs(obs::MonitorHost::Config config)
+  InstanceObs(obs::MonitorHost::Config config, obs::Profiler* profiler)
       : host(std::move(config)) {
     ctx.registry = &registry;
     ctx.monitors = &host;
+    ctx.profiler = profiler;
     ctx.enabled = true;
   }
 
@@ -123,7 +126,8 @@ ServeResult run_serve(const ServeSpec& spec) {
         if (honest[id]) honest_inputs.push_back(inputs[k][id]);
       }
       monitors.push_back(std::make_unique<InstanceObs>(
-          make_monitor_config(spec, std::move(honest), std::move(honest_inputs))));
+          make_monitor_config(spec, std::move(honest), std::move(honest_inputs)),
+          obs::profiler()));
     }
   }
 

@@ -86,10 +86,14 @@ void InstanceMux::start(sim::Env& env) {
 
 void InstanceMux::on_message(sim::Env& env, PartyId from, const sim::Message& msg) {
   const std::uint32_t instance = msg.key.tag >> kInstanceTagShift;
-  if (instance >= config_.instances || status_[instance] == Status::kPending) {
-    // Not a known live instance: either an id outside this run's range or a
-    // message racing ahead of admission. Count, drop, keep serving.
-    ++unknown_dropped_;
+  if (instance >= config_.instances) {
+    ++unknown_dropped_;  // not an id of this run: count, drop, keep serving
+    return;
+  }
+  if (status_[instance] == Status::kPending) {
+    // A peer admitted this instance before we did; keep the message until
+    // our own admission timer starts the inner party.
+    held_[instance].emplace_back(from, msg);
     return;
   }
   if (status_[instance] == Status::kRetired) {
@@ -152,6 +156,11 @@ void InstanceMux::admit(sim::Env& env, std::uint32_t instance) {
   ++live_count_;
   live_peak_ = std::max(live_peak_, live_count_);
   dispatch(env, slot_index, [&](Slot& s) { s.party->start(*s.env); });
+  if (const auto it = held_.find(instance); it != held_.end()) {
+    const auto held = std::move(it->second);
+    held_.erase(it);
+    for (const auto& [from, msg] : held) on_message(env, from, msg);
+  }
 }
 
 void InstanceMux::gc(sim::Env& env, std::uint32_t instance) {

@@ -10,10 +10,14 @@
 //            protocol tags stay below 1 << kInstanceTagShift), so instance 0
 //            traffic is byte-identical to a single-instance run;
 //   ingress  on_message reads the instance id back out of the tag, strips it,
-//            and dispatches to the owning slab slot. Messages for a retired
+//            and dispatches to the owning slab slot. A message for an
+//            instance this party has not admitted yet (a peer whose
+//            admission timer fired first — on wall-clock backends parties
+//            admit independently) is held and handed to the inner party
+//            right after admission starts it. Messages for a retired
 //            instance are counted and dropped (late_dropped) — stragglers'
-//            echo tails must never crash the process; messages for an id that
-//            was never admitted are counted as unknown_dropped.
+//            echo tails must never crash the process; messages for an id
+//            outside the run's range are counted as unknown_dropped.
 //   timers   inner timer ids are rewritten to (instance << 32) | inner_id;
 //            admission and GC use reserved high bits, so a late timer for a
 //            retired instance is dropped exactly like a late message.
@@ -34,7 +38,9 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -183,6 +189,9 @@ class InstanceMux final : public sim::IParty {
   std::vector<std::int32_t> slot_of_;  ///< instance -> slot index (-1 = none)
   std::vector<Status> status_;
   std::vector<InstanceRecord> records_;
+  /// Messages that arrived before their instance was admitted, in arrival
+  /// order; replayed (and erased) by admit().
+  std::map<std::uint32_t, std::vector<std::pair<PartyId, sim::Message>>> held_;
   std::uint32_t decided_count_ = 0;
   std::size_t live_count_ = 0;
   std::size_t live_peak_ = 0;

@@ -12,8 +12,12 @@
 #      pre-domain-layer commit (tests/golden/) are re-executed and their
 #      traces, metrics JSON, and stdout compared byte-for-byte. This is the
 #      seam guarantee: extracting src/domain/ changed no Euclidean byte.
+#      `hydra report` on each re-run trace + metrics must match the golden
+#      report (tests/golden/g*.report.md) byte-for-byte too.
 #   5. Sweep determinism with a domain: --jobs 1 and --jobs 8 tree sweeps
 #      produce identical summaries (modulo the echoed jobs count).
+#   6. Option typos and non-numeric values are usage errors (exit 2) that
+#      name the offending key, on every subcommand.
 #
 # Usage: cli_domain_test.sh /path/to/hydra /path/to/tests/golden
 set -u
@@ -127,6 +131,11 @@ for g in g1 g2 g3 g4 g5 g6; do
     || fail "$g: metrics JSON differs from the pre-domain-layer golden"
   cmp -s "$GOLDEN/$g.stdout.txt" "$STDOUT" \
     || fail "$g: stdout differs from the pre-domain-layer golden"
+  "$HYDRA" report --trace "$TRACE" --metrics "$METRICS" \
+      >"$TMPDIR_ROOT/$g.report.md" 2>"$TMPDIR_ROOT/$g.report.err" \
+    || fail "$g: hydra report failed: $(head -1 "$TMPDIR_ROOT/$g.report.err")"
+  cmp -s "$GOLDEN/$g.report.md" "$TMPDIR_ROOT/$g.report.md" \
+    || fail "$g: hydra report differs from the golden report"
 done
 
 # --- 5. sweep determinism with a non-Euclidean domain ----------------------
@@ -143,6 +152,33 @@ cmp -s "$TMPDIR_ROOT/sweep-j1.norm.json" "$TMPDIR_ROOT/sweep-j8.norm.json" \
   || fail "tree sweep: --jobs 1 and --jobs 8 summaries differ"
 grep -q '"domain":"tree"' "$TMPDIR_ROOT/sweep-j1.json" \
   || fail "tree sweep: summary spec lacks the domain key"
+
+# --- 6. option typos and non-numbers -----------------------------------------
+check_cli_error() {  # <label> <pattern> <args...>
+  local label="$1" pattern="$2"
+  shift 2
+  local err="$TMPDIR_ROOT/$label.err"
+  "$HYDRA" "$@" >/dev/null 2>"$err"
+  local status=$?
+  [ "$status" -eq 2 ] || fail "$label: expected exit 2, got $status"
+  grep -q -- "$pattern" "$err" || fail "$label: error does not name the key: $(head -1 "$err")"
+}
+check_cli_error typo-run 'unknown option --sed' run --sed 7
+check_cli_error typo-eq 'unknown option --sed' run --sed=7
+check_cli_error typo-sweep 'unknown option --seedz' sweep --seedz 3
+check_cli_error serve-key-on-run 'unknown option --party' run --party 0
+check_cli_error typo-report 'unknown option --trce' report --trce x.jsonl
+check_cli_error typo-perf 'unknown option --inputs' perf --inputs x.json
+check_cli_error typo-top 'unknown option --in' top --in x.jsonl
+check_cli_error nan-seed '--seed needs a number, got "abc"' run --seed abc
+check_cli_error trailing-junk '--n needs a number, got "5x"' run --n 5x
+check_cli_error empty-eps '--eps needs a number' run --eps=
+check_cli_error negative-n '--n is out of range' run --n -1
+check_cli_error nan-instances '--instances needs a number' bench serve --instances many
+check_cli_error nan-top '--top needs a number' perf --input x.json --top ten
+# Numeric spellings strtod accepts still work.
+"$HYDRA" run --n 5 --ts 1 --ta 1 --eps 1e-2 --seed 2.0 >/dev/null 2>&1 \
+  || fail "run with --eps 1e-2 --seed 2.0 failed"
 
 if [ "$FAILURES" -ne 0 ]; then
   echo "$FAILURES failure(s)" >&2

@@ -11,8 +11,8 @@
 //   * hostile inputs fail actionably (meta mismatch, duplicate proc tags,
 //     missing meta) and torn lines from a killed process are skipped, not
 //     fatal;
-//   * StatsPublisher heartbeats round-trip through the flatjson parsers the
-//     `hydra top` command uses, and the final line is flagged.
+//   * StatsPublisher heartbeats round-trip through obs::parse_json the way
+//     the `hydra top` command reads them, and the final line is flagged.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -25,7 +25,7 @@
 #include <vector>
 
 #include "harness/runner.hpp"
-#include "obs/flatjson.hpp"
+#include "obs/json.hpp"
 #include "obs/merge.hpp"
 #include "obs/monitor.hpp"
 #include "obs/stats.hpp"
@@ -295,7 +295,7 @@ TEST(Merge, CompleteRunDropsLocalViolationsBeforeReeval) {
 
 // ------------------------------------------------------- stats schema round-trip
 
-TEST(Stats, HeartbeatsRoundTripThroughFlatjson) {
+TEST(Stats, HeartbeatsRoundTripThroughJsonReader) {
   const std::string path = temp_path("stats_rt.jsonl");
   {
     obs::StatsPublisher pub(path, /*interval_ms=*/5, /*proc=*/3);
@@ -327,28 +327,25 @@ TEST(Stats, HeartbeatsRoundTripThroughFlatjson) {
   bool saw_final = false;
   double last_ms = -1.0;
   while (std::getline(in, line)) {
-    auto kv = obs::flatjson::parse_object_arrays(line);
-    ASSERT_FALSE(kv.empty()) << line;
+    const auto doc = obs::parse_json(line);
+    ASSERT_TRUE(doc.has_value()) << line;
+    const obs::JsonValue& kv = *doc;
     ++lines;
-    EXPECT_EQ(obs::flatjson::str(kv, "schema"), "hydra-stats-v1") << line;
-    EXPECT_EQ(obs::flatjson::num(kv, "proc"), 3) << line;
-    const double ms = obs::flatjson::real(kv, "ms");
+    EXPECT_EQ(kv["schema"].text(), "hydra-stats-v1") << line;
+    EXPECT_EQ(kv["proc"].as_u64(), 3u) << line;
+    const double ms = kv["ms"].as_double();
     EXPECT_GE(ms, last_ms) << "wall clock went backwards: " << line;
     last_ms = ms;
     EXPECT_FALSE(saw_final) << "line after the final heartbeat: " << line;
-    saw_final = obs::flatjson::num(kv, "final") != 0;
-    if (obs::flatjson::num(kv, "messages") == 0) continue;  // pre-provider
+    saw_final = kv["final"].as_u64() != 0;
+    if (kv["messages"].as_u64() == 0) continue;  // pre-provider
     // parties:[[id,finished,events,round],...] — the exact access pattern
     // `hydra top` uses.
-    const auto party =
-        obs::flatjson::parse_reals(obs::flatjson::str(kv, "parties"));
-    ASSERT_EQ(party.size(), 4u) << line;
-    EXPECT_EQ(party[0], 2.0);
-    EXPECT_EQ(party[1], 1.0);
-    EXPECT_EQ(party[2], 17.0);
-    EXPECT_EQ(party[3], 4.0);
-    EXPECT_EQ(obs::flatjson::num(kv, "decided"), 1) << line;
-    EXPECT_EQ(obs::flatjson::num(kv, "round"), 4) << line;
+    const auto& parties = kv["parties"].items();
+    ASSERT_EQ(parties.size(), 1u) << line;
+    EXPECT_EQ(parties[0].reals(), (std::vector<double>{2.0, 1.0, 17.0, 4.0}));
+    EXPECT_EQ(kv["decided"].as_u64(), 1u) << line;
+    EXPECT_EQ(kv["round"].as_u64(), 4u) << line;
   }
   EXPECT_GE(lines, 2u);  // at least one periodic beat plus the final one
   EXPECT_TRUE(saw_final);

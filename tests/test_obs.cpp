@@ -3,6 +3,7 @@
 // identical), and the Chrome trace converter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -13,9 +14,9 @@
 #include "common/log.hpp"
 #include "harness/runner.hpp"
 #include "obs/convert.hpp"
-#include "obs/flatjson.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/report.hpp"
 #include "obs/trace.hpp"
 
 using namespace hydra;
@@ -218,24 +219,21 @@ TEST(Obs, SendIdsAreUniqueAndDeliverCausesResolve) {
   std::size_t delivers = 0;
   std::string line;
   while (std::getline(in, line)) {
-    const auto kv = obs::flatjson::parse_flat_object(line);
-    const auto ev = kv.find("ev");
-    if (ev == kv.end()) continue;
-    if (ev->second == "send") {
+    const auto doc = obs::parse_json(line);
+    ASSERT_TRUE(doc.has_value()) << line;
+    const obs::JsonValue& kv = *doc;
+    const std::string& ev = kv["ev"].text();
+    if (ev == "send") {
       ++sends;
-      if (obs::flatjson::num(kv, "from") != obs::flatjson::num(kv, "to")) {
-        ++wire_sends;
-      }
-      ASSERT_TRUE(kv.contains("id")) << line;
-      const auto id = obs::flatjson::num(kv, "id");
-      EXPECT_GT(id, 0) << line;
-      EXPECT_TRUE(send_ids.insert(static_cast<std::uint64_t>(id)).second)
-          << "duplicate send id: " << line;
-    } else if (ev->second == "deliver") {
+      if (kv["from"].as_u64() != kv["to"].as_u64()) ++wire_sends;
+      ASSERT_NE(kv.find("id"), nullptr) << line;
+      const auto id = kv["id"].as_u64();
+      EXPECT_GT(id, 0u) << line;
+      EXPECT_TRUE(send_ids.insert(id).second) << "duplicate send id: " << line;
+    } else if (ev == "deliver") {
       ++delivers;
-      ASSERT_TRUE(kv.contains("cause")) << line;
-      const auto cause = obs::flatjson::num(kv, "cause");
-      EXPECT_TRUE(send_ids.contains(static_cast<std::uint64_t>(cause)))
+      ASSERT_NE(kv.find("cause"), nullptr) << line;
+      EXPECT_TRUE(send_ids.contains(kv["cause"].as_u64()))
           << "deliver cause does not match any prior send: " << line;
     }
   }
@@ -265,6 +263,31 @@ TEST(Obs, MetricsJsonIsWritten) {
   // so the metrics document is byte-deterministic per (spec, seed).
   EXPECT_EQ(json.find("\"aa.safe_area_us\""), std::string::npos);
   std::remove(path.c_str());
+}
+
+// -------------------------------------------------------------------- report
+
+// The report's event count is every trace line except the meta header and
+// the end marker — including the lines that carry multi-element arrays
+// (input, obc, and value lines at D >= 2).
+TEST(Report, EventCountIsEveryLineButMetaAndEnd) {
+  for (const std::size_t dim : {1u, 2u}) {
+    const std::string path = testing::TempDir() + "hydra_report_count.jsonl";
+    auto spec = small_spec(4);
+    spec.params.dim = dim;
+    spec.monitors = obs::MonitorMode::kRecord;  // adds input/value/obc lines
+    spec.trace_out = path;
+    EXPECT_TRUE(harness::execute(spec).verdict.d_aa());
+
+    const std::string trace = slurp(path);
+    const auto lines =
+        static_cast<std::size_t>(std::count(trace.begin(), trace.end(), '\n'));
+    EXPECT_NE(trace.find(R"("ev":"obc")"), std::string::npos);
+    std::istringstream in(trace);
+    std::ostringstream out;
+    EXPECT_EQ(obs::render_report(in, "", {}, out), lines - 2) << "dim " << dim;
+    std::remove(path.c_str());
+  }
 }
 
 // ----------------------------------------------------------------- converter

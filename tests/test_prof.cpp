@@ -18,6 +18,7 @@
 #include "harness/runner.hpp"
 #include "obs/context.hpp"
 #include "obs/prof.hpp"
+#include "serve/engine.hpp"
 
 using namespace hydra;
 
@@ -332,4 +333,39 @@ TEST(Prof, PerfJsonStaysOutOfTraceAndMetrics) {
   std::remove(trace.c_str());
   std::remove(metrics.c_str());
   std::remove(perf.c_str());
+}
+
+// Serve instances with monitors on dispatch under a per-instance context.
+// That context must carry the profiler in force when run_serve was entered,
+// or every protocol scope inside an instance goes unrecorded and its time
+// lands in net.deliver self: monitors on and off must count the same aa.*
+// phases.
+TEST(Prof, ServeInstancesKeepTheProfilerWithMonitorsOn) {
+  const auto aa_counts = [](obs::MonitorMode monitors) {
+    serve::ServeSpec spec;
+    spec.params.n = 5;
+    spec.params.ts = 1;
+    spec.params.ta = 1;
+    spec.params.dim = 2;
+    spec.params.eps = 1e-2;
+    spec.params.delta = 200;
+    spec.network = harness::Network::kSyncJitter;
+    spec.instances = 4;
+    spec.interarrival = 50;
+    spec.seed = 3;
+    spec.monitors = monitors;
+    obs::Profiler prof;
+    obs::set_profiler(&prof);
+    const auto result = serve::run_serve(spec);
+    obs::set_profiler(nullptr);
+    EXPECT_TRUE(result.all_pass);
+    std::map<std::string, std::uint64_t> counts;
+    for (const auto& [name, phase] : by_name(prof)) {
+      if (name.rfind("aa.", 0) == 0) counts[name] = phase.count;
+    }
+    return counts;
+  };
+  const auto off = aa_counts(obs::MonitorMode::kOff);
+  ASSERT_FALSE(off.empty());
+  EXPECT_EQ(aa_counts(obs::MonitorMode::kRecord), off);
 }

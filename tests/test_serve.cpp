@@ -6,7 +6,9 @@
 // backend.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "serve/engine.hpp"
@@ -54,6 +56,62 @@ TEST(InstanceSeed, DerivedSeedsAreDistinctAndStable) {
   // Pure function: recomputation and base-seed sensitivity.
   EXPECT_EQ(serve::instance_seed(11, 7), serve::instance_seed(11, 7));
   EXPECT_NE(serve::instance_seed(11, 7), serve::instance_seed(12, 7));
+}
+
+// A message that reaches a party before its own admission timer fires (a
+// peer admitted the instance first — routine on the wall-clock backends,
+// where every party thread runs its own timers) must be held and handed to
+// the instance right after admission starts it, not dropped.
+TEST(InstanceMux, MessageBeforeAdmissionIsDeliveredAfterStart) {
+  struct Recorder final : sim::IParty {
+    std::vector<std::string>* log = nullptr;
+    void start(sim::Env&) override { log->push_back("start"); }
+    void on_message(sim::Env&, PartyId from, const sim::Message& msg) override {
+      log->push_back("msg from " + std::to_string(from) + " tag " +
+                     std::to_string(msg.key.tag));
+    }
+    void on_timer(sim::Env&, std::uint64_t) override {}
+  };
+  struct TimerEnv final : sim::Env {
+    void send(PartyId, sim::Message) override {}
+    void broadcast(const sim::Message&) override {}
+    void set_timer(Time, std::uint64_t id) override { timers.push_back(id); }
+    [[nodiscard]] Time now() const override { return 0; }
+    [[nodiscard]] PartyId self() const override { return 0; }
+    [[nodiscard]] std::size_t n() const override { return 2; }
+    std::vector<std::uint64_t> timers;
+  };
+
+  std::vector<std::string> log;
+  serve::InstanceDirectory directory(2, 2);
+  serve::InstanceMux::Config cfg;
+  cfg.instances = 2;
+  cfg.interarrival = 100;
+  cfg.directory = &directory;
+  cfg.make_party = [&log](std::uint32_t) -> std::unique_ptr<sim::IParty> {
+    auto party = std::make_unique<Recorder>();
+    party->log = &log;
+    return party;
+  };
+  cfg.decided = [](const sim::IParty&, std::uint32_t) { return false; };
+  serve::InstanceMux mux(std::move(cfg));
+  TimerEnv env;
+  mux.start(env);
+  ASSERT_EQ(env.timers.size(), 2u);  // one admission timer per instance
+
+  sim::Message msg;
+  msg.key.tag = (1u << kInstanceTagShift) | 5u;  // instance 1, inner tag 5
+  mux.on_message(env, 1, msg);
+  EXPECT_TRUE(log.empty());  // instance 1 is not started here yet
+  mux.on_timer(env, env.timers[1]);
+  EXPECT_EQ(log, (std::vector<std::string>{"start", "msg from 1 tag 5"}));
+  EXPECT_EQ(mux.unknown_dropped(), 0u);
+
+  // Ids outside the run's range are still counted and dropped.
+  msg.key.tag = 7u << kInstanceTagShift;
+  mux.on_message(env, 1, msg);
+  EXPECT_EQ(mux.unknown_dropped(), 1u);
+  EXPECT_EQ(log.size(), 2u);
 }
 
 // The mux's egress contract: instance 0 stamps tag bits that decode to 0, so

@@ -139,6 +139,7 @@
 #include <glob.h>
 
 #include <algorithm>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -148,6 +149,8 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/log.hpp"
@@ -158,7 +161,7 @@
 #include "harness/stats.hpp"
 #include "harness/sweep.hpp"
 #include "harness/table.hpp"
-#include "obs/flatjson.hpp"
+#include "obs/json.hpp"
 #include "obs/merge.hpp"
 #include "obs/monitor.hpp"
 #include "obs/report.hpp"
@@ -189,20 +192,42 @@ struct Options {
   std::string bench_json;               ///< --json (hydra-bench-v1 out)
 };
 
+// The keys each subcommand accepts. usage() prints these lists and the
+// parsers reject anything else, so a typo never silently runs with a default.
+using Keys = std::vector<std::string_view>;
+const Keys kRunKeys = {
+    "n", "ts", "ta", "dim", "eps", "delta", "protocol", "network", "adversary",
+    "corrupt", "workload", "scale", "seed", "seeds", "aggregation", "jobs",
+    "sweep-json", "trace-out", "metrics-json", "perf-json", "log-level",
+    "monitors", "faults", "backend", "stats-json", "stats-interval", "domain"};
+const Keys kServeKeys = {"party", "peers", "listen"};
+const Keys kBenchServeKeys = {"instances", "interarrival", "linger", "json"};
+const Keys kReportKeys = {"trace", "merge", "merged-out", "metrics",
+                          "out", "format", "title"};
+const Keys kPerfKeys = {"json", "baseline", "budget", "input", "top"};
+const Keys kTopKeys = {"input"};
+
 [[noreturn]] void usage(const char* error = nullptr) {
   if (error != nullptr) std::fprintf(stderr, "error: %s\n\n", error);
   std::fprintf(stderr,
-               "usage: hydra <run|sweep|serve|join|bench|report|perf|top|list> [--key value | --key=value ...]\n"
-               "keys: n ts ta dim eps delta protocol network adversary corrupt\n"
-               "      workload scale seed seeds aggregation jobs sweep-json\n"
-               "      trace-out metrics-json perf-json log-level monitors faults backend\n"
-               "      stats-json stats-interval domain\n"
-               "serve/join keys: party peers listen (docs/DEPLOYMENT.md)\n"
-               "bench serve keys: instances interarrival linger json (+ run keys)\n"
-               "report keys: trace merge merged-out metrics out format title\n"
-               "perf keys: json baseline budget input top\n"
-               "top keys: input\n"
-               "run `hydra list` for accepted values.\n");
+               "usage: hydra <run|sweep|serve|join|bench|report|perf|top|list> "
+               "[--key value | --key=value ...]\n");
+  const auto keys = [](const char* label, const Keys& list, const char* note = "") {
+    std::string line = label;
+    for (std::size_t i = 0; i < list.size(); ++i) {
+      if (i > 0 && i % 9 == 0) line += "\n     ";
+      line += ' ';
+      line += list[i];
+    }
+    std::fprintf(stderr, "%s%s\n", line.c_str(), note);
+  };
+  keys("keys:", kRunKeys);
+  keys("serve/join keys:", kServeKeys, " (docs/DEPLOYMENT.md)");
+  keys("bench serve keys:", kBenchServeKeys, " (+ run keys)");
+  keys("report keys:", kReportKeys);
+  keys("perf keys:", kPerfKeys);
+  keys("top keys:", kTopKeys);
+  std::fprintf(stderr, "run `hydra list` for accepted values.\n");
   std::exit(2);
 }
 
@@ -235,7 +260,53 @@ void list_values() {
   std::printf("format     : md html (hydra report)\n");
 }
 
-Options parse(int argc, char** argv) {
+/// --key value / --key=value pairs, each key checked against `allowed`.
+/// Duplicate keys overwrite — pass multi-valued inputs as one glob/comma
+/// value, not repeated flags.
+std::map<std::string, std::string> parse_kv(int argc, char** argv,
+                                            const Keys& allowed) {
+  std::map<std::string, std::string> kv;
+  for (int i = 2; i < argc; ++i) {
+    std::string key = argv[i];
+    if (key.rfind("--", 0) != 0) usage("malformed options");
+    key = key.substr(2);
+    std::string value;
+    if (const auto eq = key.find('='); eq != std::string::npos) {
+      value = key.substr(eq + 1);
+      key.resize(eq);
+    } else {
+      if (i + 1 >= argc) usage("malformed options");
+      value = argv[++i];
+    }
+    if (std::find(allowed.begin(), allowed.end(), key) == allowed.end()) {
+      usage(("unknown option --" + key).c_str());
+    }
+    kv[key] = std::move(value);
+  }
+  return kv;
+}
+
+/// A numeric option's value: a usage error naming the key unless the whole
+/// value parses as a finite number that fits T.
+template <typename T>
+T number(const std::string& key, const std::string& value) {
+  char* end = nullptr;
+  const double v = std::strtod(value.c_str(), &end);
+  if (value.empty() || *end != '\0' || !std::isfinite(v)) {
+    usage(("--" + key + " needs a number, got \"" + value + "\"").c_str());
+  }
+  if constexpr (std::is_integral_v<T>) {
+    if (v < static_cast<double>(std::numeric_limits<T>::min()) ||
+        v >= std::ldexp(1.0, std::numeric_limits<T>::digits)) {
+      usage(("--" + key + " is out of range: " + value).c_str());
+    }
+  }
+  return static_cast<T>(v);
+}
+
+/// parse() serves run, sweep, serve/join and bench serve; `extra` holds the
+/// keys the subcommand accepts beyond the run keys.
+Options parse(int argc, char** argv, const Keys& extra = {}) {
   // The library default is kOff; the CLI surfaces errors unless silenced,
   // so e.g. an unwritable --trace-out path never fails without a message.
   set_log_level(LogLevel::kError);
@@ -254,24 +325,14 @@ Options parse(int argc, char** argv) {
   spec.workload_scale = 10.0;
   spec.seed = 1;
 
-  std::map<std::string, std::string> kv;
-  for (int i = 2; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) usage("malformed options");
-    key = key.substr(2);
-    // --key=value and --key value are both accepted.
-    if (const auto eq = key.find('='); eq != std::string::npos) {
-      kv[key.substr(0, eq)] = key.substr(eq + 1);
-    } else {
-      if (i + 1 >= argc) usage("malformed options");
-      kv[key] = argv[++i];
-    }
-  }
+  Keys allowed = kRunKeys;
+  allowed.insert(allowed.end(), extra.begin(), extra.end());
+  const auto kv = parse_kv(argc, argv, allowed);
 
   const auto num = [&](const char* key, auto fallback) {
     const auto it = kv.find(key);
     if (it == kv.end()) return fallback;
-    return static_cast<decltype(fallback)>(std::strtod(it->second.c_str(), nullptr));
+    return number<decltype(fallback)>(key, it->second);
   };
   opts.n_given = kv.count("n") > 0;
   opts.backend_given = kv.count("backend") > 0;
@@ -327,10 +388,8 @@ Options parse(int argc, char** argv) {
   if (const auto it = kv.find("stats-json"); it != kv.end()) {
     spec.stats_out = it->second;
   }
-  if (const auto it = kv.find("stats-interval"); it != kv.end()) {
-    spec.stats_interval_ms = std::strtoll(it->second.c_str(), nullptr, 10);
-    if (spec.stats_interval_ms <= 0) usage("--stats-interval must be > 0 (ms)");
-  }
+  spec.stats_interval_ms = num("stats-interval", spec.stats_interval_ms);
+  if (spec.stats_interval_ms <= 0) usage("--stats-interval must be > 0 (ms)");
   if (const auto it = kv.find("sweep-json"); it != kv.end()) {
     opts.sweep_json = it->second;
   }
@@ -364,7 +423,7 @@ Options parse(int argc, char** argv) {
     }
     spec.domain = it->second;
   }
-  // serve/join deployment keys (ignored by run/sweep).
+  // serve/join deployment keys.
   const auto split_commas = [](const std::string& s) {
     std::vector<std::string> out;
     std::string token;
@@ -451,25 +510,6 @@ Options parse(int argc, char** argv) {
   }
   if (spec.corruptions >= spec.params.n) usage("corrupt must be < n");
   return opts;
-}
-
-/// --key value / --key=value pairs for the subcommands that do not go
-/// through parse() (report/perf/top). Duplicate keys overwrite — pass
-/// multi-valued inputs as one glob/comma value, not repeated flags.
-std::map<std::string, std::string> parse_kv(int argc, char** argv) {
-  std::map<std::string, std::string> kv;
-  for (int i = 2; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) usage("malformed options");
-    key = key.substr(2);
-    if (const auto eq = key.find('='); eq != std::string::npos) {
-      kv[key.substr(0, eq)] = key.substr(eq + 1);
-    } else {
-      if (i + 1 >= argc) usage("malformed options");
-      kv[key] = argv[++i];
-    }
-  }
-  return kv;
 }
 
 /// Expands a comma-separated list of paths and/or glob patterns into sorted
@@ -762,7 +802,7 @@ int cmd_sweep(const Options& opts) {
 }
 
 int cmd_report(int argc, char** argv) {
-  const auto kv = parse_kv(argc, argv);
+  const auto kv = parse_kv(argc, argv, kReportKeys);
   const auto trace_path = kv.find("trace");
   const auto merge_glob = kv.find("merge");
   if (trace_path == kv.end() && merge_glob == kv.end()) {
@@ -908,12 +948,16 @@ void merge_phase_rows(std::map<std::string, harness::PhaseRow>& acc,
 }
 
 int cmd_perf(int argc, char** argv) {
-  const auto kv = parse_kv(argc, argv);
+  const auto kv = parse_kv(argc, argv, kPerfKeys);
 
   // Phase-profile mode: render --perf-json documents. Several files (a glob
   // or comma list, e.g. every process of a distributed run or every seed of
   // a sweep) merge into one attribution table.
   if (const auto it = kv.find("input"); it != kv.end()) {
+    std::size_t top = 0;
+    if (const auto t = kv.find("top"); t != kv.end()) {
+      top = number<std::size_t>("top", t->second);
+    }
     const auto paths = expand_inputs(it->second);
     if (paths.empty()) {
       std::fprintf(stderr, "error: --input '%s' names no files\n",
@@ -933,10 +977,6 @@ int cmd_perf(int argc, char** argv) {
     std::vector<harness::PhaseRow> merged;
     merged.reserve(acc.size());
     for (auto& [name, row] : acc) merged.push_back(std::move(row));
-    std::size_t top = 0;
-    if (const auto t = kv.find("top"); t != kv.end()) {
-      top = static_cast<std::size_t>(std::strtoull(t->second.c_str(), nullptr, 10));
-    }
     if (paths.size() > 1) {
       std::printf("merged %zu phase profiles\n", paths.size());
     }
@@ -945,6 +985,10 @@ int cmd_perf(int argc, char** argv) {
   }
 
   // Kernel mode: measure the geometry kernels on fixed inputs.
+  double budget = 0.10;
+  if (const auto b = kv.find("budget"); b != kv.end()) {
+    budget = number<double>("budget", b->second);
+  }
   const auto metrics = measure_geometry_kernels();
   Table table({"kernel", "unit", "value", "repetitions"});
   for (const auto& m : metrics) {
@@ -961,10 +1005,6 @@ int cmd_perf(int argc, char** argv) {
       std::fprintf(stderr, "error: %s is not a hydra-bench-v1 document\n",
                    it->second.c_str());
       return 1;
-    }
-    double budget = 0.10;
-    if (const auto b = kv.find("budget"); b != kv.end()) {
-      budget = std::strtod(b->second.c_str(), nullptr);
     }
     std::vector<std::string> regressions;
     std::printf("\nvs %s (budget %+.0f%%):\n", it->second.c_str(), 100.0 * budget);
@@ -987,16 +1027,11 @@ int cmd_perf(int argc, char** argv) {
 /// per-party progress from those newest lines. Reads a snapshot; re-run it
 /// (or `watch hydra top ...`) to follow a live run.
 int cmd_top(int argc, char** argv) {
-  const auto kv = parse_kv(argc, argv);
+  const auto kv = parse_kv(argc, argv, kTopKeys);
   const auto input = kv.find("input");
   if (input == kv.end()) usage("top requires --input STATS_JSONL");
 
-  struct Heartbeat {
-    std::map<std::string, std::string> kv;
-    std::uint64_t line_no = 0;
-  };
-  std::map<std::uint64_t, Heartbeat> latest;  ///< by proc tag (0 = untagged)
-  std::uint64_t lines = 0;
+  std::map<std::uint64_t, obs::JsonValue> latest;  ///< by proc tag (0 = untagged)
   std::uint64_t skipped = 0;
   for (const auto& path : expand_inputs(input->second)) {
     std::ifstream in(path);
@@ -1007,18 +1042,14 @@ int cmd_top(int argc, char** argv) {
     std::string line;
     while (std::getline(in, line)) {
       if (line.empty()) continue;
-      auto obj = obs::flatjson::parse_object_arrays(line);
-      if (obs::flatjson::str(obj, "schema") != "hydra-stats-v1") {
+      auto obj = obs::parse_json(line);
+      if (!obj || (*obj)["schema"].text() != "hydra-stats-v1") {
         ++skipped;
         continue;
       }
-      ++lines;
-      const auto proc = obs::flatjson::unum(obj, "proc");
-      auto& slot = latest[proc];
       // Later lines supersede earlier ones per process; file order is
       // emission order within one process by construction.
-      slot.kv = std::move(obj);
-      slot.line_no = lines;
+      latest[(*obj)["proc"].as_u64()] = std::move(*obj);
     }
   }
   if (latest.empty()) {
@@ -1028,37 +1059,33 @@ int cmd_top(int argc, char** argv) {
     return 1;
   }
 
-  using obs::flatjson::str;
-  using obs::flatjson::unum;
   Table procs({"proc", "uptime (s)", "msgs", "bytes", "dropped", "egress q",
                "mailbox q", "decided", "round", "state"});
-  for (const auto& [proc, hb] : latest) {
-    const auto& o = hb.kv;
-    const double ms = std::strtod(str(o, "ms").c_str(), nullptr);
+  for (const auto& [proc, o] : latest) {
+    const double ms = o["ms"].as_double();
     const std::uint64_t dropped =
-        unum(o, "auth_dropped") + unum(o, "decode_dropped");
+        o["auth_dropped"].as_u64() + o["decode_dropped"].as_u64();
     procs.row({proc == 0 ? std::string("-") : std::to_string(proc),
-               fmt(ms / 1000.0), fmt(unum(o, "messages")), fmt(unum(o, "bytes")),
-               fmt(dropped), fmt(unum(o, "egress_depth")),
-               fmt(unum(o, "mailbox_depth")), fmt(unum(o, "decided")),
-               fmt(unum(o, "round")),
-               unum(o, "final") != 0 ? "final" : "live"});
+               fmt(ms / 1000.0), fmt(o["messages"].as_u64()),
+               fmt(o["bytes"].as_u64()), fmt(dropped),
+               fmt(o["egress_depth"].as_u64()), fmt(o["mailbox_depth"].as_u64()),
+               fmt(o["decided"].as_u64()), fmt(o["round"].as_u64()),
+               o["final"].as_u64() != 0 ? "final" : "live"});
   }
   procs.print();
 
   Table parties({"party", "proc", "finished", "events", "round"});
   bool any_party = false;
-  for (const auto& [proc, hb] : latest) {
-    const auto it = hb.kv.find("parties");
-    if (it == hb.kv.end()) continue;
-    // "[[id,finished,events,round],...]" — flatten and chunk by 4.
-    const auto numbers = obs::flatjson::parse_reals(it->second);
-    for (std::size_t i = 0; i + 3 < numbers.size(); i += 4) {
+  for (const auto& [proc, o] : latest) {
+    // "parties":[[id,finished,events,round],...]
+    for (const auto& entry : o["parties"].items()) {
+      const auto numbers = entry.reals();
+      if (numbers.size() < 4) continue;
       any_party = true;
-      parties.row({fmt(numbers[i]),
+      parties.row({fmt(numbers[0]),
                    proc == 0 ? std::string("-") : std::to_string(proc),
-                   numbers[i + 1] != 0.0 ? "yes" : "no", fmt(numbers[i + 2]),
-                   fmt(numbers[i + 3])});
+                   numbers[1] != 0.0 ? "yes" : "no", fmt(numbers[2]),
+                   fmt(numbers[3])});
     }
   }
   if (any_party) {
@@ -1086,11 +1113,12 @@ int main(int argc, char** argv) {
     if (argc < 3 || std::string(argv[2]) != "serve") {
       usage("bench requires a mode: hydra bench serve [--keys]");
     }
-    return cmd_bench_serve(parse(argc - 1, argv + 1));
+    return cmd_bench_serve(parse(argc - 1, argv + 1, kBenchServeKeys));
   }
-  const auto opts = parse(argc, argv);
-  if (command == "run") return cmd_run(opts);
-  if (command == "sweep") return cmd_sweep(opts);
-  if (command == "serve" || command == "join") return cmd_serve(opts);
+  if (command == "run") return cmd_run(parse(argc, argv));
+  if (command == "sweep") return cmd_sweep(parse(argc, argv));
+  if (command == "serve" || command == "join") {
+    return cmd_serve(parse(argc, argv, kServeKeys));
+  }
   usage("unknown command");
 }
