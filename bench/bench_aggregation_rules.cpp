@@ -107,8 +107,8 @@ int main() {
           measure_rule(agg, c.dim, c.n, c.ts, c.ta, 31 * c.n + c.dim, trials);
       table.row({fmt(std::uint64_t{c.dim}), fmt(std::uint64_t{c.n}),
                  fmt(std::uint64_t{c.ts}), fmt(std::uint64_t{c.ta}),
-                 agg == Aggregation::kCentroid ? "centroid" : "midpoint",
-                 fmt(stats.worst), fmt(stats.mean),
+                 name_of(protocols::kAggregationNames, agg), fmt(stats.worst),
+                 fmt(stats.mean),
                  agg == Aggregation::kCentroid ? "no (measured only)"
                                                : "yes, sqrt(7/8)"});
     }
@@ -135,9 +135,9 @@ int main() {
     spec.corruptions = 1;
     spec.seed = 93;
     const auto result = execute(spec);
-    runs.row({agg == Aggregation::kCentroid ? "centroid" : "midpoint",
-              fmt_ok(result.verdict.live), fmt_ok(result.verdict.valid),
-              fmt_ok(result.verdict.agreed), fmt(result.verdict.output_diameter)});
+    runs.row({name_of(protocols::kAggregationNames, agg), fmt_ok(result.verdict.live),
+              fmt_ok(result.verdict.valid), fmt_ok(result.verdict.agreed),
+              fmt(result.verdict.output_diameter)});
   }
   runs.print();
   std::printf("\nTakeaway: the centroid often contracts faster on average but "

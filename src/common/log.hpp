@@ -13,6 +13,8 @@
 #include <string>
 #include <string_view>
 
+#include "common/names.hpp"
+
 namespace hydra {
 
 enum class LogLevel : int { kOff = 0, kError = 1, kInfo = 2, kDebug = 3, kTrace = 4 };
@@ -58,25 +60,22 @@ inline void set_log_sink(LogSinkFn sink) noexcept {
   detail::log_sink_ref().store(sink, std::memory_order_release);
 }
 
+inline constexpr NameRow<LogLevel> kLogLevelNames[] = {
+    {LogLevel::kOff, "off"},
+    {LogLevel::kError, "error"},
+    {LogLevel::kInfo, "info"},
+    {LogLevel::kDebug, "debug"},
+    {LogLevel::kTrace, "trace"},
+};
+
 [[nodiscard]] inline const char* to_string(LogLevel level) noexcept {
-  switch (level) {
-    case LogLevel::kOff: return "off";
-    case LogLevel::kError: return "error";
-    case LogLevel::kInfo: return "info";
-    case LogLevel::kDebug: return "debug";
-    case LogLevel::kTrace: return "trace";
-  }
-  return "?";
+  return name_of(kLogLevelNames, level);
 }
 
-/// Inverse of to_string (accepts "off", "error", "info", "debug", "trace");
-/// nullopt on unknown names. Used by the --log-level CLI flag.
+/// Inverse of to_string; nullopt on unknown names. Used by the --log-level
+/// CLI flag.
 [[nodiscard]] inline std::optional<LogLevel> parse_log_level(std::string_view name) {
-  for (const auto level : {LogLevel::kOff, LogLevel::kError, LogLevel::kInfo,
-                           LogLevel::kDebug, LogLevel::kTrace}) {
-    if (name == to_string(level)) return level;
-  }
-  return std::nullopt;
+  return value_of(kLogLevelNames, name);
 }
 
 }  // namespace hydra

@@ -172,8 +172,8 @@ class ValueDomain {
 /// validation, `hydra list`, and actionable unknown-domain errors).
 [[nodiscard]] std::vector<std::string> names();
 
-/// ", "-joined registry names, for error messages naming every accepted
-/// value (the unknown-backend error's shape).
+/// Space-joined registry names, for `hydra list` and the unknown-domain
+/// error.
 [[nodiscard]] std::string known_names();
 
 }  // namespace hydra::domain

@@ -1,12 +1,13 @@
 // The process-wide domain registry. Mirrors the net::Backend registry's
-// contract: lookup by name, enumerable for `hydra list`, and a ", "-joined
-// name list for actionable unknown-domain errors. Registration order is the
+// contract: lookup by name, enumerable for `hydra list`, and a joined name
+// list for actionable unknown-domain errors. Registration order is the
 // display order; "euclid" is always first.
 
 #include <array>
 #include <string>
 #include <vector>
 
+#include "common/names.hpp"
 #include "domain/domain.hpp"
 #include "domain/tree.hpp"
 
@@ -42,13 +43,6 @@ std::vector<std::string> names() {
   return out;
 }
 
-std::string known_names() {
-  std::string out;
-  for (const auto* d : registry().entries) {
-    if (!out.empty()) out += ", ";
-    out += d->name();
-  }
-  return out;
-}
+std::string known_names() { return joined(names()); }
 
 }  // namespace hydra::domain

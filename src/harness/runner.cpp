@@ -18,6 +18,7 @@
 #include "domain/domain.hpp"
 #include "faults/faults.hpp"
 #include "harness/stats.hpp"
+#include "harness/table.hpp"
 #include "net/backend.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -119,12 +120,8 @@ void summary_json(obs::JsonWriter& w, std::string_view name,
 /// where (D+1) ts + ts >= n that combination violates the feasibility
 /// condition even though the hybrid protocol itself is fine, and naively
 /// forcing ta = ts aborts deep inside AaParty. Use the largest ta the
-/// condition admits instead; specs with no feasible ta at all are rejected
-/// with an explicit message.
+/// condition admits instead; spec_error rejects specs with no feasible ta.
 std::size_t async_mh_ta(const Params& p) {
-  HYDRA_ASSERT_MSG(p.n > (p.dim + 1) * p.ts && p.n > 3 * p.ts,
-                   "async-mh baseline: no feasible ta exists for (n, ts, D); "
-                   "requires n > (D+1) ts and n > 3 ts");
   return std::min(p.ts, p.n - (p.dim + 1) * p.ts - 1);
 }
 
@@ -212,27 +209,7 @@ void write_metrics_json(const RunSpec& spec, const RunResult& result,
   obs::JsonWriter w;
   w.begin_object();
 
-  w.key("spec");
-  w.begin_object();
-  w.kv("protocol", to_string(spec.protocol));
-  w.kv("network", to_string(spec.network));
-  w.kv("adversary", to_string(spec.adversary));
-  w.kv("workload", to_string(spec.workload));
-  w.kv("workload_scale", spec.workload_scale);
-  w.kv("corruptions", std::uint64_t{spec.corruptions});
-  w.kv("n", std::uint64_t{spec.params.n});
-  w.kv("ts", std::uint64_t{spec.params.ts});
-  w.kv("ta", std::uint64_t{spec.params.ta});
-  w.kv("dim", std::uint64_t{spec.params.dim});
-  w.kv("eps", spec.params.eps);
-  w.kv("delta", std::int64_t{spec.params.delta});
-  w.kv("seed", spec.seed);
-  w.kv("faults", spec.faults);
-  w.kv("backend", spec.backend);
-  if (!spec.domain.empty() && spec.domain != "euclid") {
-    w.kv("domain", spec.domain);
-  }
-  w.end_object();
+  write_spec_json(w, spec, /*with_seed=*/true);
 
   w.key("verdict");
   w.begin_object();
@@ -570,17 +547,98 @@ std::vector<std::string> backend_names() {
   return net::backend_names();
 }
 
-std::string to_string(Network network) {
-  switch (network) {
-    case Network::kSyncWorstCase: return "sync-worst";
-    case Network::kSyncJitter: return "sync-jitter";
-    case Network::kSyncTargeted: return "sync-target";
-    case Network::kSyncRushing: return "sync-rush";
-    case Network::kAsyncReorder: return "async-reorder";
-    case Network::kAsyncPartition: return "async-partition";
-    case Network::kAsyncExponential: return "async-exp";
+std::string spec_error(const RunSpec& spec) {
+  const Params& p = spec.params;
+  const auto backends = backend_names();
+  if (std::find(backends.begin(), backends.end(), spec.backend) == backends.end()) {
+    return unknown_name("backend", spec.backend, joined(backends));
   }
-  return "?";
+  const hydra::domain::ValueDomain* dom = nullptr;
+  if (!spec.domain.empty() && spec.domain != "euclid") {
+    dom = hydra::domain::find(spec.domain);
+    if (dom == nullptr) {
+      return unknown_name("domain", spec.domain, hydra::domain::known_names());
+    }
+    // Graph domains: hybrid only (the baselines' thresholds are
+    // Euclidean-specific), the domain's required dimension, and a minimum
+    // eps of one edge (fractional agreement is meaningless on vertices).
+    const std::string flag = "--domain=" + spec.domain;
+    if (spec.protocol != Protocol::kHybrid) {
+      return flag + " runs the hybrid protocol only (the sync-lockstep and "
+                    "async-mh baselines are Euclidean-specific); drop --protocol";
+    }
+    if (const auto rd = dom->required_dim(); rd && p.dim != *rd) {
+      const std::string d = std::to_string(*rd);
+      return flag + " values are scalar vertex labels (dim " + d +
+             "); drop --dim or pass --dim " + d;
+    }
+    if (p.eps < dom->min_eps()) {
+      return flag + " needs --eps >= " + fmt(dom->min_eps()) +
+             " (vertex labels are integers; 1-agreement means adjacent vertices)";
+    }
+  }
+
+  // The resilience bound of the protocol that runs.
+  switch (spec.protocol) {
+    case Protocol::kHybrid:
+      if (hydra::domain::resolve(dom).feasible(p.n, p.ts, p.ta, p.dim)) break;
+      return dom == nullptr ? "params violate (D+1) ts + ta < n (or n <= 3 ts)"
+                            : "--domain=" + spec.domain +
+                                  " needs n > 3 ts and n > 2 ts + ta";
+    case Protocol::kSyncLockstep:
+      if (p.n > (p.dim + 1) * p.ts) break;
+      return "sync-lockstep baseline: requires n > (D+1) ts";
+    case Protocol::kAsyncMh:
+      if (p.n > (p.dim + 1) * p.ts && p.n > 3 * p.ts) break;
+      return "async-mh baseline: no feasible ta exists for (n, ts, D); "
+             "requires n > (D+1) ts and n > 3 ts";
+  }
+  if (spec.corruptions >= p.n) return "corrupt must be < n";
+
+  std::string error;
+  const auto plan = faults::parse_fault_plan(spec.faults, &error);
+  if (!plan) return "bad --faults: " + error;
+  if (!plan->empty() && plan->max_party() >= p.n) {
+    return "--faults names a party >= n";
+  }
+  for (const PartyId id : spec.socket_local) {
+    if (id >= p.n) return "--party id >= n (the --peers count)";
+  }
+  for (PartyId id = 0; id < p.n; ++id) {
+    const bool corrupt = id < spec.corruptions && spec.adversary != Adversary::kNone;
+    if (!corrupt && !plan->crashes_party(id)) return {};
+  }
+  return "corruptions + fault-plan crashes leave no honest party";
+}
+
+void write_spec_json(obs::JsonWriter& w, const RunSpec& spec, bool with_seed) {
+  w.key("spec");
+  w.begin_object();
+  w.kv("protocol", to_string(spec.protocol));
+  w.kv("network", to_string(spec.network));
+  w.kv("adversary", to_string(spec.adversary));
+  w.kv("workload", to_string(spec.workload));
+  w.kv("workload_scale", spec.workload_scale);
+  w.kv("corruptions", std::uint64_t{spec.corruptions});
+  w.kv("n", std::uint64_t{spec.params.n});
+  w.kv("ts", std::uint64_t{spec.params.ts});
+  w.kv("ta", std::uint64_t{spec.params.ta});
+  w.kv("dim", std::uint64_t{spec.params.dim});
+  w.kv("eps", spec.params.eps);
+  w.kv("delta", std::int64_t{spec.params.delta});
+  if (with_seed) w.kv("seed", spec.seed);
+  w.kv("faults", spec.faults);
+  w.kv("backend", spec.backend);
+  if (!spec.domain.empty() && spec.domain != "euclid") {
+    w.kv("domain", spec.domain);
+  }
+  w.end_object();
+}
+
+std::string to_string(Network network) { return name_of(kNetworkNames, network); }
+
+std::optional<Network> parse_network(std::string_view name) {
+  return value_of(kNetworkNames, name);
 }
 
 bool is_synchronous(Network network) {
@@ -595,101 +653,31 @@ bool is_synchronous(Network network) {
   }
 }
 
-std::string to_string(Adversary adversary) {
-  switch (adversary) {
-    case Adversary::kNone: return "none";
-    case Adversary::kSilent: return "silent";
-    case Adversary::kCrash: return "crash";
-    case Adversary::kEquivocator: return "equivocate";
-    case Adversary::kOutlier: return "outlier";
-    case Adversary::kHaltRusher: return "halt-rush";
-    case Adversary::kSpammer: return "spam";
-    case Adversary::kStraggler: return "straggler";
-    case Adversary::kTurncoat: return "turncoat";
-    case Adversary::kMixed: return "mixed";
-  }
-  return "?";
-}
-
-std::optional<Network> parse_network(std::string_view name) {
-  for (const auto network :
-       {Network::kSyncWorstCase, Network::kSyncJitter, Network::kSyncTargeted,
-        Network::kSyncRushing, Network::kAsyncReorder, Network::kAsyncPartition,
-        Network::kAsyncExponential}) {
-    if (to_string(network) == name) return network;
-  }
-  return std::nullopt;
-}
+std::string to_string(Adversary adversary) { return name_of(kAdversaryNames, adversary); }
 
 std::optional<Adversary> parse_adversary(std::string_view name) {
-  for (const auto adversary :
-       {Adversary::kNone, Adversary::kSilent, Adversary::kCrash,
-        Adversary::kEquivocator, Adversary::kOutlier, Adversary::kHaltRusher,
-        Adversary::kSpammer, Adversary::kStraggler, Adversary::kTurncoat,
-        Adversary::kMixed}) {
-    if (to_string(adversary) == name) return adversary;
-  }
-  return std::nullopt;
-}
-
-std::optional<Protocol> parse_protocol(std::string_view name) {
-  for (const auto protocol :
-       {Protocol::kHybrid, Protocol::kSyncLockstep, Protocol::kAsyncMh}) {
-    if (to_string(protocol) == name) return protocol;
-  }
-  return std::nullopt;
-}
-
-std::string to_string(Protocol protocol) {
-  switch (protocol) {
-    case Protocol::kHybrid: return "hybrid";
-    case Protocol::kSyncLockstep: return "sync-lockstep";
-    case Protocol::kAsyncMh: return "async-mh";
-  }
-  return "?";
+  return value_of(kAdversaryNames, name);
 }
 
 RunResult execute(const RunSpec& spec) {
+  const std::string error = spec_error(spec);
+  HYDRA_ASSERT_MSG(error.empty(), error.c_str());
   // Resolve the value domain up front; the resolved pointer rides in the
   // effective Params every protocol object below receives. nullptr (the
   // Euclidean default) keeps every downstream path byte-identical to the
   // pre-domain-layer harness.
-  const hydra::domain::ValueDomain* dom = nullptr;
-  if (!spec.domain.empty() && spec.domain != "euclid") {
-    dom = hydra::domain::find(spec.domain);
-    if (dom == nullptr) {
-      const std::string msg = "unknown RunSpec::domain \"" + spec.domain +
-                              "\"; registered domains: " +
-                              hydra::domain::known_names();
-      HYDRA_ASSERT_MSG(dom != nullptr, msg.c_str());
-    }
-    HYDRA_ASSERT_MSG(spec.protocol == Protocol::kHybrid,
-                     "non-Euclidean domains run the hybrid protocol only "
-                     "(the baselines' thresholds are Euclidean-specific)");
-    if (const auto rd = dom->required_dim()) {
-      HYDRA_ASSERT_MSG(spec.params.dim == *rd,
-                       "RunSpec::params.dim conflicts with the domain's "
-                       "required dimension");
-    }
-  }
+  const hydra::domain::ValueDomain* dom =
+      spec.domain.empty() || spec.domain == "euclid"
+          ? nullptr
+          : hydra::domain::find(spec.domain);
   Params effective = spec.params;
   effective.domain = dom;
   const Params& p = effective;
-  HYDRA_ASSERT(spec.corruptions < p.n);
 
   // The fault plan is part of the spec: a party the plan crashes is a faulty
   // party for every judgement below, exactly like a corrupted slot — except
   // it runs the honest protocol and dies at the network layer.
-  faults::FaultPlan fault_plan;
-  if (!spec.faults.empty()) {
-    std::string error;
-    auto parsed = faults::parse_fault_plan(spec.faults, &error);
-    HYDRA_ASSERT_MSG(parsed.has_value(), "invalid RunSpec::faults spec");
-    fault_plan = std::move(*parsed);
-    HYDRA_ASSERT_MSG(fault_plan.empty() ||
-                         fault_plan.max_party() < static_cast<PartyId>(p.n),
-                     "fault plan names a party >= n");
-  }
+  const faults::FaultPlan fault_plan = *faults::parse_fault_plan(spec.faults);
 
   // Inputs and the honest mask are pure functions of the spec; computing
   // them before the session starts lets the monitor config see the honest
@@ -711,8 +699,6 @@ RunResult execute(const RunSpec& spec) {
     honest_mask[id] = !corrupt && !fault_plan.crashes_party(id);
     if (honest_mask[id]) honest_inputs.push_back(inputs[id]);
   }
-  HYDRA_ASSERT_MSG(!honest_inputs.empty(),
-                   "corruptions + fault-plan crashes leave no honest party");
 
   // The process's trace identity: 0 for single-process runs (the proc key is
   // suppressed and the trace keeps its historical shape), 1 + min(local
@@ -758,18 +744,6 @@ RunResult execute(const RunSpec& spec) {
                                            .endpoints = spec.socket_endpoints,
                                            .local_parties = spec.socket_local},
                         make_network(spec));
-  if (backend == nullptr) {
-    // Actionable, not just fatal: name the backend that failed to resolve
-    // AND every name that would have worked.
-    std::string known;
-    for (const auto& name : net::backend_names()) {
-      if (!known.empty()) known += ", ";
-      known += name;
-    }
-    const std::string msg = "unknown RunSpec::backend \"" + spec.backend +
-                            "\"; registered backends: " + known;
-    HYDRA_ASSERT_MSG(backend != nullptr, msg.c_str());
-  }
 
   std::optional<faults::FaultInjector> injector;
   if (!fault_plan.empty()) {
@@ -803,10 +777,7 @@ RunResult execute(const RunSpec& spec) {
   std::vector<bool> judged_mask(p.n, true);
   if (!spec.socket_local.empty()) {
     judged_mask.assign(p.n, false);
-    for (const PartyId id : spec.socket_local) {
-      HYDRA_ASSERT_MSG(id < p.n, "RunSpec::socket_local names a party >= n");
-      judged_mask[id] = true;
-    }
+    for (const PartyId id : spec.socket_local) judged_mask[id] = true;
   }
 
   std::vector<const AaParty*> hybrid_parties;

@@ -10,11 +10,17 @@
 #include <string_view>
 #include <vector>
 
+#include "common/names.hpp"
+#include "common/protocol_kind.hpp"
 #include "harness/oracles.hpp"
 #include "harness/workloads.hpp"
 #include "net/wire_stats.hpp"
 #include "obs/monitor.hpp"
 #include "protocols/params.hpp"
+
+namespace hydra::obs {
+class JsonWriter;
+}
 
 namespace hydra::sim {
 class DelayModel;
@@ -33,6 +39,16 @@ enum class Network {
   kAsyncReorder,    ///< heavy-tailed reordering beyond Delta
   kAsyncPartition,  ///< a group cut off for a long window
   kAsyncExponential ///< exponential delays with mean ~2 Delta
+};
+
+inline constexpr NameRow<Network> kNetworkNames[] = {
+    {Network::kSyncWorstCase, "sync-worst"},
+    {Network::kSyncJitter, "sync-jitter"},
+    {Network::kSyncTargeted, "sync-target"},
+    {Network::kSyncRushing, "sync-rush"},
+    {Network::kAsyncReorder, "async-reorder"},
+    {Network::kAsyncPartition, "async-partition"},
+    {Network::kAsyncExponential, "async-exp"},
 };
 
 [[nodiscard]] std::string to_string(Network network);
@@ -55,18 +71,24 @@ enum class Adversary {
   kMixed,        ///< cycles through the list above per corrupted slot
 };
 
+inline constexpr NameRow<Adversary> kAdversaryNames[] = {
+    {Adversary::kNone, "none"},
+    {Adversary::kSilent, "silent"},
+    {Adversary::kCrash, "crash"},
+    {Adversary::kEquivocator, "equivocate"},
+    {Adversary::kOutlier, "outlier"},
+    {Adversary::kHaltRusher, "halt-rush"},
+    {Adversary::kSpammer, "spam"},
+    {Adversary::kStraggler, "straggler"},
+    {Adversary::kTurncoat, "turncoat"},
+    {Adversary::kMixed, "mixed"},
+};
+
 [[nodiscard]] std::string to_string(Adversary adversary);
 [[nodiscard]] std::optional<Adversary> parse_adversary(std::string_view name);
 
-/// Which protocol runs in the honest slots.
-enum class Protocol {
-  kHybrid,        ///< the paper's ΠAA
-  kSyncLockstep,  ///< Vaidya-Garg-style baseline (t = ts)
-  kAsyncMh,       ///< Mendes-Herlihy-style baseline (t = ts = ta)
-};
-
-[[nodiscard]] std::string to_string(Protocol protocol);
-[[nodiscard]] std::optional<Protocol> parse_protocol(std::string_view name);
+/// Which protocol runs in the honest slots (common/protocol_kind.hpp).
+using hydra::Protocol;
 
 struct RunSpec {
   protocols::Params params;
@@ -223,11 +245,23 @@ void ensure_backends_registered();
 /// first (for CLI validation and `hydra list`).
 [[nodiscard]] std::vector<std::string> backend_names();
 
+/// Why `spec` cannot run, or "" when it can. Holds every cross-field rule:
+/// the backend and domain are registered; a graph domain runs the hybrid
+/// protocol at its required dimension and minimum eps; (n, ts, ta, D) meet
+/// the protocol's resilience bound; corruptions < n; the fault plan parses
+/// and names parties < n; socket_local ids are < n; and at least one party
+/// stays honest. The texts name the hydra option to change.
+[[nodiscard]] std::string spec_error(const RunSpec& spec);
+
+/// Writes `"spec":{...}`, the spec echo shared by the metrics snapshot and
+/// the sweep summary (which leaves out the seed, since a cell spans seeds).
+void write_spec_json(obs::JsonWriter& w, const RunSpec& spec, bool with_seed);
+
 /// Executes one run on the backend named by `spec.backend` ("sim" default).
 /// Thread-safe: every call installs an isolated per-run obs::Context, so
 /// independent specs may execute concurrently (harness/sweep.hpp) — on the
 /// simulator backend with results byte-identical to sequential execution
-/// per seed.
+/// per seed. Aborts with spec_error's text when the spec cannot run.
 [[nodiscard]] RunResult execute(const RunSpec& spec);
 
 }  // namespace hydra::harness

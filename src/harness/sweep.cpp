@@ -173,26 +173,7 @@ bool write_sweep_summary_json(const std::string& path,
   for (const auto& cell : cells) {
     const auto& spec = cell.spec;
     w.begin_object();
-    w.key("spec");
-    w.begin_object();
-    w.kv("protocol", to_string(spec.protocol));
-    w.kv("network", to_string(spec.network));
-    w.kv("adversary", to_string(spec.adversary));
-    w.kv("workload", to_string(spec.workload));
-    w.kv("workload_scale", spec.workload_scale);
-    w.kv("corruptions", std::uint64_t{spec.corruptions});
-    w.kv("n", std::uint64_t{spec.params.n});
-    w.kv("ts", std::uint64_t{spec.params.ts});
-    w.kv("ta", std::uint64_t{spec.params.ta});
-    w.kv("dim", std::uint64_t{spec.params.dim});
-    w.kv("eps", spec.params.eps);
-    w.kv("delta", std::int64_t{spec.params.delta});
-    w.kv("faults", spec.faults);
-    w.kv("backend", spec.backend);
-    if (!spec.domain.empty() && spec.domain != "euclid") {
-      w.kv("domain", spec.domain);
-    }
-    w.end_object();
+    write_spec_json(w, spec, /*with_seed=*/false);
 
     Stats rounds;
     Stats messages;

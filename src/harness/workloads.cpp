@@ -6,24 +6,10 @@
 
 namespace hydra::harness {
 
-std::string to_string(Workload workload) {
-  switch (workload) {
-    case Workload::kUniformBall: return "ball";
-    case Workload::kSimplexCorners: return "simplex";
-    case Workload::kClustered: return "clustered";
-    case Workload::kCollinear: return "collinear";
-    case Workload::kGaussian: return "gaussian";
-  }
-  return "?";
-}
+std::string to_string(Workload workload) { return name_of(kWorkloadNames, workload); }
 
 std::optional<Workload> parse_workload(std::string_view name) {
-  for (const auto workload :
-       {Workload::kUniformBall, Workload::kSimplexCorners, Workload::kClustered,
-        Workload::kCollinear, Workload::kGaussian}) {
-    if (to_string(workload) == name) return workload;
-  }
-  return std::nullopt;
+  return value_of(kWorkloadNames, name);
 }
 
 std::vector<geo::Vec> make_inputs(Workload workload, std::size_t n, std::size_t dim,

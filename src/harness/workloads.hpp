@@ -6,6 +6,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/names.hpp"
 #include "common/rng.hpp"
 #include "geometry/vec.hpp"
 
@@ -17,6 +18,14 @@ enum class Workload {
   kClustered,       ///< two tight clusters at distance `scale`
   kCollinear,       ///< all on one line (degenerate hulls)
   kGaussian,        ///< isotropic normal with sigma = scale
+};
+
+inline constexpr NameRow<Workload> kWorkloadNames[] = {
+    {Workload::kUniformBall, "ball"},
+    {Workload::kSimplexCorners, "simplex"},
+    {Workload::kClustered, "clustered"},
+    {Workload::kCollinear, "collinear"},
+    {Workload::kGaussian, "gaussian"},
 };
 
 [[nodiscard]] std::string to_string(Workload workload);

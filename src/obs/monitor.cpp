@@ -38,21 +38,10 @@ std::string format(const char* fmt, ...) {
 
 thread_local std::uint64_t MonitorHost::current_cause_ = 0;
 
-std::string to_string(MonitorMode mode) {
-  switch (mode) {
-    case MonitorMode::kOff: return "off";
-    case MonitorMode::kRecord: return "record";
-    case MonitorMode::kStrict: return "strict";
-  }
-  return "?";
-}
+std::string to_string(MonitorMode mode) { return name_of(kMonitorModeNames, mode); }
 
 std::optional<MonitorMode> parse_monitor_mode(std::string_view name) {
-  for (const auto mode :
-       {MonitorMode::kOff, MonitorMode::kRecord, MonitorMode::kStrict}) {
-    if (to_string(mode) == name) return mode;
-  }
-  return std::nullopt;
+  return value_of(kMonitorModeNames, name);
 }
 
 // Derivation of the hybrid per-party bound, counting broadcasts. Both

@@ -54,6 +54,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/names.hpp"
 #include "common/serialize.hpp"
 #include "common/types.hpp"
 #include "domain/domain.hpp"
@@ -66,6 +67,12 @@ enum class MonitorMode {
   kOff,     ///< no monitors; zero cost
   kRecord,  ///< check and record violations, never interfere with the run
   kStrict,  ///< record and additionally abort the run on the first violation
+};
+
+inline constexpr NameRow<MonitorMode> kMonitorModeNames[] = {
+    {MonitorMode::kOff, "off"},
+    {MonitorMode::kRecord, "record"},
+    {MonitorMode::kStrict, "strict"},
 };
 
 [[nodiscard]] std::string to_string(MonitorMode mode);

@@ -17,7 +17,7 @@
 //   - total_ns     wall time inside the scope, children included,
 //   - self_ns      total minus time spent in nested scopes (child-exclusive),
 //   - min/max and a compact log2-bucket latency histogram, from which the
-//     reporting layer (obs/perf_report.hpp, harness::Stats::summary())
+//     reporting layer (harness/perf.hpp, harness::Stats::summary())
 //     derives approximate percentiles.
 //
 // Cost model, in line with the rest of the observability layer

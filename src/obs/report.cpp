@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/protocol_kind.hpp"
 #include "domain/domain.hpp"
 #include "obs/json.hpp"
 #include "obs/monitor.hpp"
@@ -566,9 +567,10 @@ std::size_t render_report(std::istream& trace, const std::string& metrics_json,
   if (n > 0 && dim > 0) {
     r.section("Complexity: paper bound vs measured");
     const std::string protocol = spec["protocol"].text();
-    const ComplexityBudget budget = protocol == "sync-lockstep"
-                                        ? lockstep_complexity_budget(n, dim)
-                                        : hybrid_complexity_budget(n, dim);
+    const ComplexityBudget budget =
+        value_of(kProtocolNames, protocol) == Protocol::kSyncLockstep
+            ? lockstep_complexity_budget(n, dim)
+            : hybrid_complexity_budget(n, dim);
     const auto k = static_cast<std::uint64_t>(s.max_iteration);
     const std::uint64_t msg_bound =
         budget.msgs_fixed + budget.msgs_per_iteration * (k + 2);

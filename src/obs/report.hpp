@@ -2,13 +2,15 @@
 // a self-contained human-readable report — convergence/contraction series,
 // invariant-violation timeline, per-party send/deliver matrix, and the
 // paper-bound vs. measured complexity table. The rendering logic lives in
-// the library so tests can cover it; tools/trace_report.cpp and the `hydra
-// report` subcommand are thin wrappers.
+// the library so tests can cover it; the `hydra report` subcommand is a thin
+// wrapper.
 #pragma once
 
 #include <istream>
 #include <ostream>
 #include <string>
+
+#include "common/names.hpp"
 
 namespace hydra::obs {
 
@@ -16,6 +18,11 @@ struct ReportOptions {
   enum class Format { kMarkdown, kHtml };
   Format format = Format::kMarkdown;
   std::string title = "hydra run report";
+};
+
+inline constexpr NameRow<ReportOptions::Format> kReportFormatNames[] = {
+    {ReportOptions::Format::kMarkdown, "md"},
+    {ReportOptions::Format::kHtml, "html"},
 };
 
 /// Reads a JSONL trace from `trace` and renders a report to `out`.

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 
+#include "common/names.hpp"
 #include "common/types.hpp"
 #include "domain/domain.hpp"
 #include "geometry/safe_area.hpp"
@@ -15,6 +16,11 @@ enum class Aggregation {
   kCentroid,          ///< ablation: mean of the extreme points (no proven
                       ///< contraction factor; measured in
                       ///< bench_aggregation_rules)
+};
+
+inline constexpr NameRow<Aggregation> kAggregationNames[] = {
+    {Aggregation::kDiameterMidpoint, "midpoint"},
+    {Aggregation::kCentroid, "centroid"},
 };
 
 /// Static parameters of a ΠAA run, shared by every party.

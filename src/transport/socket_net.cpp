@@ -437,9 +437,13 @@ void SocketNetwork::writer_loop(PartyId from) {
       item = std::move(next);
     }
     for (const PartyId to : touched) {
+      // A peer that already sent its FIN may have finished and closed its
+      // socket: a failed write to it is the normal end of a run, not an
+      // error worth reporting.
       if (!flush_link(out_fds_[from * n + to], *link_mutexes_[from * n + to],
                       buffers[to], frames[to]) &&
-          !stop_.load(std::memory_order_acquire)) {
+          !stop_.load(std::memory_order_acquire) &&
+          !fin_received_[to].load(std::memory_order_acquire)) {
         HYDRA_LOG_ERROR("socket_net: write to party %u failed (%s)", to,
                         std::strerror(errno));
       }

@@ -17,13 +17,16 @@
 #   5. Sweep determinism with a domain: --jobs 1 and --jobs 8 tree sweeps
 #      produce identical summaries (modulo the echoed jobs count).
 #   6. Option typos and non-numeric values are usage errors (exit 2) that
-#      name the offending key, on every subcommand.
+#      name the offending key, on every subcommand; so is a key the
+#      subcommand does not act on, and perf_gate checks its options the same
+#      way.
 #
-# Usage: cli_domain_test.sh /path/to/hydra /path/to/tests/golden
+# Usage: cli_domain_test.sh /path/to/hydra /path/to/tests/golden /path/to/perf_gate
 set -u
 
-HYDRA="${1:?usage: cli_domain_test.sh /path/to/hydra /path/to/golden-dir}"
-GOLDEN="${2:?usage: cli_domain_test.sh /path/to/hydra /path/to/golden-dir}"
+HYDRA="${1:?usage: cli_domain_test.sh /path/to/hydra /path/to/golden-dir /path/to/perf_gate}"
+GOLDEN="${2:?usage: cli_domain_test.sh /path/to/hydra /path/to/golden-dir /path/to/perf_gate}"
+PERF_GATE="${3:?usage: cli_domain_test.sh /path/to/hydra /path/to/golden-dir /path/to/perf_gate}"
 FAILURES=0
 
 fail() {
@@ -179,6 +182,39 @@ check_cli_error nan-top '--top needs a number' perf --input x.json --top ten
 # Numeric spellings strtod accepts still work.
 "$HYDRA" run --n 5 --ts 1 --ta 1 --eps 1e-2 --seed 2.0 >/dev/null 2>&1 \
   || fail "run with --eps 1e-2 --seed 2.0 failed"
+# A key the subcommand accepts must be one it acts on: run writes no sweep
+# summary, a sweep's seeds would truncate one heartbeat file, and bench serve
+# always runs hybrid Euclidean agreement with no trace.
+check_cli_error run-seeds 'unknown option --seeds' run --seeds 3
+check_cli_error run-jobs 'unknown option --jobs' run --jobs 2
+check_cli_error run-sweep-json 'unknown option --sweep-json' run --sweep-json "$TMPDIR_ROOT/x.json"
+check_cli_error sweep-stats 'unknown option --stats-json' sweep --stats-json "$TMPDIR_ROOT/s.jsonl"
+check_cli_error bench-domain 'unknown option --domain' bench serve --domain tree
+check_cli_error bench-protocol 'unknown option --protocol' bench serve --protocol async-mh
+check_cli_error bench-trace 'unknown option --trace-out' bench serve --trace-out "$TMPDIR_ROOT/t.jsonl"
+check_cli_error perf-modes 'measure the kernels' perf --input x.json --baseline y.json
+[ ! -e "$TMPDIR_ROOT/x.json" ] || fail "run --sweep-json wrote a file"
+# Every enum rejects an unknown name in one form, listing every name.
+check_cli_error bogus-network 'unknown network "bogus"; registered networks:' run --network bogus
+for name in sync-worst sync-jitter sync-target sync-rush async-reorder async-partition async-exp; do
+  grep -q -- "$name" "$TMPDIR_ROOT/bogus-network.err" \
+    || fail "unknown network: error does not offer '$name'"
+done
+check_cli_error bogus-monitors 'unknown monitor mode "loud"' run --monitors loud
+# perf_gate: the same option checks as hydra, and the --key=value form.
+BENCH_DOC="$TMPDIR_ROOT/bench.json"
+printf '{"schema":"hydra-bench-v1","bench":"t","metrics":[{"name":"m","unit":"ns","value":1,"repetitions":1}]}\n' >"$BENCH_DOC"
+"$PERF_GATE" --current "$BENCH_DOC" --baseline "$BENCH_DOC" --budget abc \
+    >/dev/null 2>"$TMPDIR_ROOT/gate-nan.err"
+STATUS=$?
+[ "$STATUS" -eq 2 ] || fail "perf_gate --budget abc: expected exit 2, got $STATUS"
+grep -q -- '--budget needs a number' "$TMPDIR_ROOT/gate-nan.err" \
+  || fail "perf_gate --budget abc: error does not name --budget: $(head -1 "$TMPDIR_ROOT/gate-nan.err")"
+"$PERF_GATE" --current "$BENCH_DOC" --baseline "$BENCH_DOC" --budget=0.1 \
+    >"$TMPDIR_ROOT/gate-eq.out" 2>&1 \
+  || fail "perf_gate --budget=0.1 failed: $(cat "$TMPDIR_ROOT/gate-eq.out")"
+grep -q 'budget +10%' "$TMPDIR_ROOT/gate-eq.out" \
+  || fail "perf_gate --budget=0.1: budget not applied: $(head -1 "$TMPDIR_ROOT/gate-eq.out")"
 
 if [ "$FAILURES" -ne 0 ]; then
   echo "$FAILURES failure(s)" >&2

@@ -6,7 +6,10 @@
 #   2. Single-process `hydra run --backend=tcp` on the 4-party hybrid spec
 #      passes under strict monitors (the ISSUE acceptance run).
 #   3. A real 4-process `hydra serve`/`join` deployment over UDS: one party
-#      per process, fixed socket paths, every process must exit 0.
+#      per process, fixed socket paths, every process must exit 0 without a
+#      write-error line (a peer that finished first is not an error).
+#   4. serve checks the resilience bound and the fault plan against the n
+#      that --peers gives, not the default n.
 #
 # Usage: cli_socket_test.sh /path/to/hydra
 set -u
@@ -70,7 +73,22 @@ for party in 0 1 2 3; do
   if ! wait "${PIDS[$party]}"; then
     fail "serve/join: party $party exited nonzero: $(cat "$TMPDIR_ROOT/party$party.out")"
   fi
+  if grep -q 'write to party' "$TMPDIR_ROOT/party$party.out"; then
+    fail "serve/join: party $party logged a write error on a clean run: $(grep 'write to party' "$TMPDIR_ROOT/party$party.out")"
+  fi
 done
+
+# --- 4. n comes from --peers --------------------------------------------------
+# 7 endpoints: (D+1) ts + ta = 6 < 7 holds, and the plan's party 6 exists.
+# Both checks used to run against the default n = 5 and exit 2.
+PEERS7=""
+for party in 0 1 2 3 4 5 6; do
+  PEERS7="$PEERS7${PEERS7:+,}$TMPDIR_ROOT/q$party.sock"
+done
+if ! "$HYDRA" serve --party 0,1,2,3,4,5,6 --peers "$PEERS7" --backend uds \
+    --ts 2 --ta 0 --faults 'crash(party=6,at=5000)' >"$TMPDIR_ROOT/serve7.out" 2>&1; then
+  fail "7-endpoint serve exited nonzero: $(head -3 "$TMPDIR_ROOT/serve7.out")"
+fi
 
 if [ "$FAILURES" -ne 0 ]; then
   echo "$FAILURES failure(s)" >&2

@@ -9,6 +9,9 @@
 //   hydra join   [options]    alias of serve (same handshake; "serve" reads
 //                             naturally for the first process, "join" for
 //                             the rest)
+//   hydra bench serve [options]
+//                             sustain open-loop multi-instance load on a
+//                             socket backend and report instances/sec
 //   hydra report [options]    render a trace (+ metrics) into a readable
 //                             report (markdown or single-file HTML); with
 //                             --merge, stitch per-process traces first
@@ -19,28 +22,40 @@
 //                             a live (or finished) run's --stats-json file
 //   hydra list                print the accepted option values
 //
-// Options (with defaults):
-//   --n 5 --ts 1 --ta 1 --dim 2 --eps 1e-2 --delta 1000
-//   --protocol hybrid|sync-lockstep|async-mh
+// Both --key value and --key=value spellings are accepted. A subcommand
+// rejects every key it does not act on (exit 2), and usage() prints each
+// subcommand's keys from the option table below. The bracket after each key
+// names the subcommands that take it: r = run, s = sweep, v = serve/join,
+// b = bench serve.
+//
+// Agreement spec (with defaults):
+//   --n 5 --ts 1 --ta 1 --dim 2 --eps 1e-2 --delta 1000          [r s v b]
 //   --network sync-worst|sync-jitter|sync-target|sync-rush|
-//             async-reorder|async-partition|async-exp
+//             async-reorder|async-partition|async-exp             [r s v b]
+//   --workload ball|simplex|clustered|collinear|gaussian --scale 10
+//                                                                 [r s v b]
+//   --aggregation midpoint|centroid                               [r s v b]
+//   --seed 1          (a sweep runs seeds 1..--seeds instead)       [r v b]
+//   --protocol hybrid|sync-lockstep|async-mh                        [r s v]
 //   --adversary none|silent|crash|equivocate|outlier|halt-rush|spam|
-//               straggler|turncoat|mixed
-//   --corrupt 1 --workload ball|simplex|clustered|collinear|gaussian
-//   --scale 10 --seed 1 --seeds 20 --aggregation midpoint|centroid
+//               straggler|turncoat|mixed --corrupt 1                [r s v]
 //
 // Value domain (src/domain/; docs/ARCHITECTURE.md "The domain layer"):
-//   --domain euclid|tree|path
+//   --domain euclid|tree|path                                       [r s v]
 //                         euclid (default) is the paper's R^D. tree/path run
 //                         approximate agreement over the vertices of a fixed
 //                         graph (values are integer vertex labels, the safe
 //                         area is an intersection of geodesic hulls). Graph
-//                         domains run the hybrid protocol only, force
+//                         domains run the hybrid protocol only, default to
 //                         --dim 1, and need --eps >= 1 (1-agreement =
 //                         adjacent vertices)
 //
+// Every cross-field rule (the protocol's resilience bound, corrupt < n, the
+// fault plan, the graph-domain rules) is harness::spec_error, checked once
+// after the subcommand's defaults are in (serve/join take n from --peers).
+//
 // Execution backend (src/net/; docs/ARCHITECTURE.md):
-//   --backend sim|threads|tcp|uds
+//   --backend sim|threads|tcp|uds                                 [r s v b]
 //                         sim (default) is the deterministic discrete-event
 //                         simulator; threads runs one OS thread per party
 //                         under wall-clock time; tcp/uds run the socket
@@ -48,53 +63,61 @@
 //                         as a length-prefixed frame (full mesh over
 //                         loopback/tmpdir when single-process). All through
 //                         the same delivery pipeline (verdicts judged
-//                         identically)
+//                         identically). serve/join default to tcp, bench
+//                         serve to uds; both take only tcp or uds
 //
-// hydra serve/join options (docs/DEPLOYMENT.md):
+// hydra serve/join options (docs/DEPLOYMENT.md):                      [v]
 //   --party I[,J...]      the parties THIS process hosts (required)
 //   --peers A0,...,A(n-1) every party's endpoint, in PartyId order
 //                         (required; "host:port" for tcp, socket paths for
 //                         uds); n is taken from this list
 //   --listen ADDR         overrides this process's own entry in --peers
 //                         (single --party only), e.g. to bind 0.0.0.0
-//   plus any run option; --backend defaults to tcp here. Every process must
-//   be started with the same spec (n, ts, ta, dim, seed, protocol, ...) —
-//   inputs are a pure function of it. Exit status judges the LOCAL parties.
-//   SIGTERM/SIGINT flush every registered trace/stats sink before exiting
-//   (status 130), so a killed process leaves mergeable JSONL behind.
+//   Every process must be started with the same spec (n, ts, ta, dim, seed,
+//   protocol, ...) — inputs are a pure function of it. Exit status judges
+//   the LOCAL parties. SIGTERM/SIGINT flush every registered trace/stats
+//   sink before exiting (status 130), so a killed process leaves mergeable
+//   JSONL behind.
 //
-// Live telemetry (docs/OBSERVABILITY.md "Live telemetry"):
+// hydra bench serve options:                                          [b]
+//   --instances 256 --interarrival 0 (ticks) --linger -1 (ticks; -1 = the
+//   engine default) --json PATH (hydra-bench-v1 out)
+//
+// Live telemetry (docs/OBSERVABILITY.md "Live telemetry"):           [r v]
 //   --stats-json PATH     hydra-stats-v1 JSONL heartbeats (wall clock; NOT
 //                         byte-deterministic, unlike the trace)
 //   --stats-interval MS   heartbeat period (default 1000)
 //
-// Fault injection (docs/ROBUSTNESS.md):
+// Fault injection (docs/ROBUSTNESS.md):                            [r s v]
 //   --faults SPEC         semicolon-separated clauses, e.g.
 //                         "dup(p=0.2);reorder(p=0.5,skew=2000);
 //                          crash(party=0,at=5000[,until=20000]);
 //                          partition(group=0.1,from=2000,until=9000)"
 //
-// Sweep parallelism (docs/OBSERVABILITY.md "Parallel sweeps"):
-//   --jobs N              worker threads for sweep mode (0 = one per
-//                         hardware thread, the default); every run executes
-//                         in an isolated context, so results and per-seed
-//                         output files are identical for any --jobs value
+// Sweep options (docs/OBSERVABILITY.md "Parallel sweeps"):             [s]
+//   --seeds 20            runs seeds 1..N
+//   --jobs N              worker threads (0 = one per hardware thread, the
+//                         default); every run executes in an isolated
+//                         context, so results and per-seed output files are
+//                         identical for any --jobs value
 //   --sweep-json PATH     merged sweep summary (per-cell aggregates +
 //                         failure list)
 //
-// Observability (docs/OBSERVABILITY.md); both --key value and --key=value
-// spellings are accepted:
-//   --trace-out PATH      structured JSONL trace of the run
-//   --metrics-json PATH   metrics snapshot (per-round counts, registry dump)
-//   --log-level LEVEL     off|error|info|debug|trace (default error, so a
-//                         failing --trace-out/--metrics-json path is reported)
-//   --monitors MODE       off|record|strict — online invariant monitors
-//                         (docs/OBSERVABILITY.md "Invariant monitors");
-//                         strict aborts the run on the first violation
-//   --perf-json PATH      hydra-perf-v1 phase profile of the run (scoped
-//                         profiler; docs/OBSERVABILITY.md "Phase profiler").
-//                         Wall-clock ns — NOT byte-deterministic, unlike the
-//                         trace/metrics files (phase counts are)
+// Observability (docs/OBSERVABILITY.md):
+//   --trace-out PATH      structured JSONL trace of the run         [r s v]
+//   --metrics-json PATH   metrics snapshot (per-round counts,       [r s v]
+//                         registry dump)
+//   --perf-json PATH      hydra-perf-v1 phase profile of the run    [r s v]
+//                         (scoped profiler; docs/OBSERVABILITY.md "Phase
+//                         profiler"). Wall-clock ns — NOT byte-deterministic,
+//                         unlike the trace/metrics files (phase counts are)
+//   --log-level LEVEL     off|error|info|debug|trace (default     [r s v b]
+//                         error, so a failing --trace-out/--metrics-json
+//                         path is reported)
+//   --monitors MODE       off|record|strict — online invariant  [r s v b]
+//                         monitors (docs/OBSERVABILITY.md "Invariant
+//                         monitors"); strict aborts the run on the first
+//                         violation
 // In sweep mode each seed writes PATH with a ".s<seed>" suffix before the
 // extension, so no seed overwrites another.
 //
@@ -110,8 +133,10 @@
 //   --metrics PATH        the run's --metrics-json document (optional)
 //   --out PATH            output file (default: stdout)
 //   --format md|html      report format (default md)
+//   --title TEXT          report heading
 //
-// hydra perf options (docs/OBSERVABILITY.md "Measuring performance"):
+// hydra perf options (docs/OBSERVABILITY.md "Measuring performance"); the
+// two modes take disjoint keys:
 //   (no --input)          measure the geometry kernels on fixed inputs and
 //                         print ns/point per kernel
 //   --json PATH           also write the measurements as hydra-bench-v1 JSON
@@ -135,11 +160,10 @@
 // Exit status: 0 when every executed run satisfied D-AA *and* no invariant
 // monitor recorded a violation, 1 otherwise — usable directly in scripts
 // and CI (sweeps with a non-empty failure list or any monitor violation
-// exit 1).
+// exit 1). Usage errors exit 2.
 #include <glob.h>
 
 #include <algorithm>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -147,15 +171,15 @@
 #include <iostream>
 #include <limits>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <vector>
 
 #include "common/log.hpp"
+#include "common/names.hpp"
 #include "domain/domain.hpp"
-#include "faults/faults.hpp"
 #include "harness/perf.hpp"
 #include "harness/runner.hpp"
 #include "harness/stats.hpp"
@@ -166,6 +190,7 @@
 #include "obs/monitor.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
+#include "options.hpp"
 #include "serve/engine.hpp"
 #include "transport/socket_net.hpp"
 
@@ -174,144 +199,31 @@ using namespace hydra::harness;
 
 namespace {
 
-struct Options {
-  RunSpec spec;
-  std::uint64_t seeds = 20;
-  std::size_t jobs = 0;  ///< sweep workers; 0 = hardware concurrency
-  std::string sweep_json;
-  // serve/join (socket deployment) options.
-  std::vector<PartyId> local_parties;   ///< --party
-  std::vector<std::string> peers;       ///< --peers, one endpoint per party
-  std::string listen;                   ///< --listen override for own entry
-  bool n_given = false;
-  bool backend_given = false;
-  // bench serve (multi-instance throughput) options.
-  std::uint32_t instances = 256;        ///< --instances
-  Time interarrival = 0;                ///< --interarrival, ticks
-  Duration linger = -1;                 ///< --linger, ticks (-1 = default)
-  std::string bench_json;               ///< --json (hydra-bench-v1 out)
+/// The subcommands, as bits so an option row can name several.
+enum Command : unsigned {
+  kRun = 1u << 0,
+  kSweep = 1u << 1,
+  kServe = 1u << 2,  ///< serve and join
+  kBench = 1u << 3,  ///< bench serve
+  kReport = 1u << 4,
+  kPerf = 1u << 5,
+  kTop = 1u << 6,
+};
+constexpr unsigned kRunSpecCommands = kRun | kSweep | kServe;
+constexpr unsigned kAgreementCommands = kRunSpecCommands | kBench;
+
+constexpr NameRow<Command> kCommandNames[] = {
+    {kRun, "run"},
+    {kSweep, "sweep"},
+    {kServe, "serve/join"},
+    {kBench, "bench serve"},
+    {kReport, "report"},
+    {kPerf, "perf"},
+    {kTop, "top"},
 };
 
-// The keys each subcommand accepts. usage() prints these lists and the
-// parsers reject anything else, so a typo never silently runs with a default.
-using Keys = std::vector<std::string_view>;
-const Keys kRunKeys = {
-    "n", "ts", "ta", "dim", "eps", "delta", "protocol", "network", "adversary",
-    "corrupt", "workload", "scale", "seed", "seeds", "aggregation", "jobs",
-    "sweep-json", "trace-out", "metrics-json", "perf-json", "log-level",
-    "monitors", "faults", "backend", "stats-json", "stats-interval", "domain"};
-const Keys kServeKeys = {"party", "peers", "listen"};
-const Keys kBenchServeKeys = {"instances", "interarrival", "linger", "json"};
-const Keys kReportKeys = {"trace", "merge", "merged-out", "metrics",
-                          "out", "format", "title"};
-const Keys kPerfKeys = {"json", "baseline", "budget", "input", "top"};
-const Keys kTopKeys = {"input"};
-
-[[noreturn]] void usage(const char* error = nullptr) {
-  if (error != nullptr) std::fprintf(stderr, "error: %s\n\n", error);
-  std::fprintf(stderr,
-               "usage: hydra <run|sweep|serve|join|bench|report|perf|top|list> "
-               "[--key value | --key=value ...]\n");
-  const auto keys = [](const char* label, const Keys& list, const char* note = "") {
-    std::string line = label;
-    for (std::size_t i = 0; i < list.size(); ++i) {
-      if (i > 0 && i % 9 == 0) line += "\n     ";
-      line += ' ';
-      line += list[i];
-    }
-    std::fprintf(stderr, "%s%s\n", line.c_str(), note);
-  };
-  keys("keys:", kRunKeys);
-  keys("serve/join keys:", kServeKeys, " (docs/DEPLOYMENT.md)");
-  keys("bench serve keys:", kBenchServeKeys, " (+ run keys)");
-  keys("report keys:", kReportKeys);
-  keys("perf keys:", kPerfKeys);
-  keys("top keys:", kTopKeys);
-  std::fprintf(stderr, "run `hydra list` for accepted values.\n");
-  std::exit(2);
-}
-
-void list_values() {
-  std::printf("protocol   : hybrid sync-lockstep async-mh\n");
-  std::printf("network    : sync-worst sync-jitter sync-target sync-rush "
-              "async-reorder async-partition async-exp\n");
-  std::printf("adversary  : none silent crash equivocate outlier halt-rush "
-              "spam straggler turncoat mixed\n");
-  std::printf("workload   : ball simplex clustered collinear gaussian\n");
-  std::printf("aggregation: midpoint centroid\n");
-  std::printf("log-level  : off error info debug trace\n");
-  std::printf("monitors   : off record strict\n");
-  std::printf("faults     : dup(p=P[,skew=T][,from=I][,to=I]) "
-              "reorder(p=P[,skew=T][,from=I][,to=I]) "
-              "crash(party=I,at=T[,until=T]) "
-              "partition(group=I.J...,from=T,until=T), ';'-separated\n");
-  std::string backends;
-  for (const auto& name : backend_names()) {
-    if (!backends.empty()) backends += ' ';
-    backends += name;
-  }
-  std::printf("backend    : %s\n", backends.c_str());
-  std::string domains;
-  for (const auto& name : hydra::domain::names()) {
-    if (!domains.empty()) domains += ' ';
-    domains += name;
-  }
-  std::printf("domain     : %s\n", domains.c_str());
-  std::printf("format     : md html (hydra report)\n");
-}
-
-/// --key value / --key=value pairs, each key checked against `allowed`.
-/// Duplicate keys overwrite — pass multi-valued inputs as one glob/comma
-/// value, not repeated flags.
-std::map<std::string, std::string> parse_kv(int argc, char** argv,
-                                            const Keys& allowed) {
-  std::map<std::string, std::string> kv;
-  for (int i = 2; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) usage("malformed options");
-    key = key.substr(2);
-    std::string value;
-    if (const auto eq = key.find('='); eq != std::string::npos) {
-      value = key.substr(eq + 1);
-      key.resize(eq);
-    } else {
-      if (i + 1 >= argc) usage("malformed options");
-      value = argv[++i];
-    }
-    if (std::find(allowed.begin(), allowed.end(), key) == allowed.end()) {
-      usage(("unknown option --" + key).c_str());
-    }
-    kv[key] = std::move(value);
-  }
-  return kv;
-}
-
-/// A numeric option's value: a usage error naming the key unless the whole
-/// value parses as a finite number that fits T.
-template <typename T>
-T number(const std::string& key, const std::string& value) {
-  char* end = nullptr;
-  const double v = std::strtod(value.c_str(), &end);
-  if (value.empty() || *end != '\0' || !std::isfinite(v)) {
-    usage(("--" + key + " needs a number, got \"" + value + "\"").c_str());
-  }
-  if constexpr (std::is_integral_v<T>) {
-    if (v < static_cast<double>(std::numeric_limits<T>::min()) ||
-        v >= std::ldexp(1.0, std::numeric_limits<T>::digits)) {
-      usage(("--" + key + " is out of range: " + value).c_str());
-    }
-  }
-  return static_cast<T>(v);
-}
-
-/// parse() serves run, sweep, serve/join and bench serve; `extra` holds the
-/// keys the subcommand accepts beyond the run keys.
-Options parse(int argc, char** argv, const Keys& extra = {}) {
-  // The library default is kOff; the CLI surfaces errors unless silenced,
-  // so e.g. an unwritable --trace-out path never fails without a message.
-  set_log_level(LogLevel::kError);
-  Options opts;
-  auto& spec = opts.spec;
+RunSpec default_spec() {
+  RunSpec spec;
   spec.params.n = 5;
   spec.params.ts = 1;
   spec.params.ta = 1;
@@ -324,192 +236,270 @@ Options parse(int argc, char** argv, const Keys& extra = {}) {
   spec.workload = Workload::kUniformBall;
   spec.workload_scale = 10.0;
   spec.seed = 1;
+  return spec;
+}
 
-  Keys allowed = kRunKeys;
-  allowed.insert(allowed.end(), extra.begin(), extra.end());
-  const auto kv = parse_kv(argc, argv, allowed);
+struct Options {
+  RunSpec spec = default_spec();
+  std::set<std::string, std::less<>> given;  ///< keys on the command line
+  // sweep
+  std::uint64_t seeds = 20;
+  std::size_t jobs = 0;  ///< sweep workers; 0 = hardware concurrency
+  std::string sweep_json;
+  // serve/join (socket deployment)
+  std::vector<PartyId> local_parties;   ///< --party
+  std::vector<std::string> peers;       ///< --peers, one endpoint per party
+  std::string listen;                   ///< --listen override for own entry
+  // bench serve (multi-instance throughput)
+  std::uint32_t instances = 256;
+  Time interarrival = 0;                ///< ticks
+  Duration linger = -1;                 ///< ticks (-1 = engine default)
+  std::string bench_json;               ///< hydra-bench-v1 out (bench, perf)
+  // report
+  std::string trace;
+  std::string merge;
+  std::string merged_out;
+  std::string metrics;
+  std::string out;
+  obs::ReportOptions report;
+  // perf, top
+  std::string baseline;
+  double budget = 0.10;
+  std::string input;
+  std::size_t top = 0;
+};
 
-  const auto num = [&](const char* key, auto fallback) {
-    const auto it = kv.find(key);
-    if (it == kv.end()) return fallback;
-    return number<decltype(fallback)>(key, it->second);
-  };
-  opts.n_given = kv.count("n") > 0;
-  opts.backend_given = kv.count("backend") > 0;
-  spec.params.n = num("n", spec.params.n);
-  spec.params.ts = num("ts", spec.params.ts);
-  spec.params.ta = num("ta", spec.params.ta);
-  spec.params.dim = num("dim", spec.params.dim);
-  spec.params.eps = num("eps", spec.params.eps);
-  spec.params.delta = num("delta", spec.params.delta);
-  spec.corruptions = num("corrupt", spec.corruptions);
-  spec.workload_scale = num("scale", spec.workload_scale);
-  spec.seed = num("seed", spec.seed);
-  opts.seeds = num("seeds", opts.seeds);
-  opts.jobs = num("jobs", opts.jobs);
-  opts.instances = num("instances", opts.instances);
-  opts.interarrival = num("interarrival", opts.interarrival);
-  opts.linger = num("linger", opts.linger);
-  if (const auto it = kv.find("json"); it != kv.end()) opts.bench_json = it->second;
+[[noreturn]] void usage(const std::string& error = {});
 
-  if (const auto it = kv.find("protocol"); it != kv.end()) {
-    const auto p = parse_protocol(it->second);
-    if (!p) {
-      // Actionable: name the rejected value AND every value that would work
-      // (mirrors the backend/domain registry errors below).
-      const std::string msg = "unknown protocol \"" + it->second +
-                              "\"; registered protocols: hybrid sync-lockstep async-mh";
-      usage(msg.c_str());
-    }
-    spec.protocol = *p;
-  }
-  if (const auto it = kv.find("network"); it != kv.end()) {
-    const auto n = parse_network(it->second);
-    if (!n) usage("unknown network");
-    spec.network = *n;
-  }
-  if (const auto it = kv.find("adversary"); it != kv.end()) {
-    const auto a = parse_adversary(it->second);
-    if (!a) usage("unknown adversary");
-    spec.adversary = *a;
-  }
-  if (const auto it = kv.find("workload"); it != kv.end()) {
-    const auto w = parse_workload(it->second);
-    if (!w) usage("unknown workload");
-    spec.workload = *w;
-  }
-  if (const auto it = kv.find("trace-out"); it != kv.end()) spec.trace_out = it->second;
-  if (const auto it = kv.find("metrics-json"); it != kv.end()) {
-    spec.metrics_out = it->second;
-  }
-  if (const auto it = kv.find("perf-json"); it != kv.end()) {
-    spec.perf_out = it->second;
-  }
-  if (const auto it = kv.find("stats-json"); it != kv.end()) {
-    spec.stats_out = it->second;
-  }
-  spec.stats_interval_ms = num("stats-interval", spec.stats_interval_ms);
-  if (spec.stats_interval_ms <= 0) usage("--stats-interval must be > 0 (ms)");
-  if (const auto it = kv.find("sweep-json"); it != kv.end()) {
-    opts.sweep_json = it->second;
-  }
-  if (const auto it = kv.find("log-level"); it != kv.end()) {
-    const auto level = parse_log_level(it->second);
-    if (!level) usage("unknown log-level");
-    set_log_level(*level);
-  }
-  if (const auto it = kv.find("monitors"); it != kv.end()) {
-    const auto mode = obs::parse_monitor_mode(it->second);
-    if (!mode) usage("unknown monitors mode (off|record|strict)");
-    spec.monitors = *mode;
-  }
-  if (const auto it = kv.find("backend"); it != kv.end()) {
-    const auto names = backend_names();
-    if (std::find(names.begin(), names.end(), it->second) == names.end()) {
-      // Actionable: name the rejected value AND every value that would work.
-      std::string msg = "unknown backend \"" + it->second + "\"; registered backends:";
-      for (const auto& name : names) msg += " " + name;
-      usage(msg.c_str());
-    }
-    spec.backend = it->second;
-  }
-  if (const auto it = kv.find("domain"); it != kv.end()) {
-    if (hydra::domain::find(it->second) == nullptr) {
-      // Actionable: name the rejected value AND every value that would work.
-      const std::string msg = "unknown domain \"" + it->second +
-                              "\"; registered domains: " +
-                              hydra::domain::known_names();
-      usage(msg.c_str());
-    }
-    spec.domain = it->second;
-  }
-  // serve/join deployment keys.
-  const auto split_commas = [](const std::string& s) {
-    std::vector<std::string> out;
-    std::string token;
-    std::istringstream in(s);
-    while (std::getline(in, token, ',')) out.push_back(token);
-    return out;
-  };
-  if (const auto it = kv.find("party"); it != kv.end()) {
-    for (const auto& token : split_commas(it->second)) {
-      char* end = nullptr;
-      const unsigned long id = std::strtoul(token.c_str(), &end, 10);
-      if (end == token.c_str() || *end != '\0') usage("bad --party list");
-      opts.local_parties.push_back(static_cast<PartyId>(id));
-    }
-  }
-  if (const auto it = kv.find("peers"); it != kv.end()) {
-    opts.peers = split_commas(it->second);
-  }
-  if (const auto it = kv.find("listen"); it != kv.end()) opts.listen = it->second;
-  if (const auto it = kv.find("faults"); it != kv.end()) {
-    std::string error;
-    const auto plan = faults::parse_fault_plan(it->second, &error);
-    if (!plan) usage(("bad --faults: " + error).c_str());
-    if (!plan->empty() && plan->max_party() >= spec.params.n) {
-      usage("--faults names a party >= n");
-    }
-    spec.faults = it->second;
-  }
-  if (const auto it = kv.find("aggregation"); it != kv.end()) {
-    if (it->second == "centroid") {
-      spec.params.aggregation = protocols::Aggregation::kCentroid;
-    } else if (it->second == "midpoint") {
-      spec.params.aggregation = protocols::Aggregation::kDiameterMidpoint;
-    } else {
-      usage("unknown aggregation");
-    }
-  }
+std::vector<std::string> split_commas(const std::string& s) {
+  std::vector<std::string> out;
+  std::string token;
+  std::istringstream in(s);
+  while (std::getline(in, token, ',')) out.push_back(token);
+  return out;
+}
 
-  if (spec.domain != "euclid") {
-    // Graph domains: hybrid only (the baselines' thresholds are
-    // Euclidean-specific), the domain's required dimension, and a minimum
-    // eps of one edge (fractional agreement is meaningless on vertices).
-    const auto* dom = hydra::domain::find(spec.domain);
-    if (spec.protocol != Protocol::kHybrid) {
-      const std::string msg =
-          "--domain=" + spec.domain +
-          " runs the hybrid protocol only (the sync-lockstep and async-mh "
-          "baselines are Euclidean-specific); drop --protocol";
-      usage(msg.c_str());
-    }
-    if (const auto rd = dom->required_dim()) {
-      if (kv.count("dim") > 0 && spec.params.dim != *rd) {
-        const std::string msg =
-            "--domain=" + spec.domain + " values are scalar vertex labels "
-            "(dim " + std::to_string(*rd) + "); drop --dim or pass --dim " +
-            std::to_string(*rd);
-        usage(msg.c_str());
+/// One `--key value` pair on its way into Options.
+struct Arg {
+  const std::string& key;
+  const std::string& value;
+
+  template <typename T>
+  void number(T& field) const {
+    field = options::number<T>(key, value, &usage);
+  }
+  template <typename E, std::size_t N>
+  void name(E& field, const NameRow<E> (&table)[N], std::string_view kind) const {
+    const auto parsed = value_of(table, value);
+    if (!parsed) usage(unknown_name(kind, value, names_of(table)));
+    field = *parsed;
+  }
+};
+
+enum class Kind { kNumber, kName, kPath, kText };
+
+/// One row per key: its value kind, the subcommands that act on it, and how
+/// it lands in Options. Parsing, unknown-key rejection and usage() all read
+/// this table; a key outside its row's subcommands is an unknown option.
+struct Option {
+  std::string_view key;
+  Kind kind;
+  unsigned commands;
+  void (*set)(Options&, const Arg&);
+};
+
+const Option kOptions[] = {
+    {"n", Kind::kNumber, kAgreementCommands,
+     [](Options& o, const Arg& a) { a.number(o.spec.params.n); }},
+    {"ts", Kind::kNumber, kAgreementCommands,
+     [](Options& o, const Arg& a) { a.number(o.spec.params.ts); }},
+    {"ta", Kind::kNumber, kAgreementCommands,
+     [](Options& o, const Arg& a) { a.number(o.spec.params.ta); }},
+    {"dim", Kind::kNumber, kAgreementCommands,
+     [](Options& o, const Arg& a) { a.number(o.spec.params.dim); }},
+    {"eps", Kind::kNumber, kAgreementCommands,
+     [](Options& o, const Arg& a) { a.number(o.spec.params.eps); }},
+    {"delta", Kind::kNumber, kAgreementCommands,
+     [](Options& o, const Arg& a) { a.number(o.spec.params.delta); }},
+    {"network", Kind::kName, kAgreementCommands,
+     [](Options& o, const Arg& a) {
+       a.name(o.spec.network, kNetworkNames, "network");
+     }},
+    {"workload", Kind::kName, kAgreementCommands,
+     [](Options& o, const Arg& a) {
+       a.name(o.spec.workload, kWorkloadNames, "workload");
+     }},
+    {"scale", Kind::kNumber, kAgreementCommands,
+     [](Options& o, const Arg& a) { a.number(o.spec.workload_scale); }},
+    {"aggregation", Kind::kName, kAgreementCommands,
+     [](Options& o, const Arg& a) {
+       a.name(o.spec.params.aggregation, protocols::kAggregationNames, "aggregation");
+     }},
+    {"seed", Kind::kNumber, kRun | kServe | kBench,
+     [](Options& o, const Arg& a) { a.number(o.spec.seed); }},
+    {"protocol", Kind::kName, kRunSpecCommands,
+     [](Options& o, const Arg& a) {
+       a.name(o.spec.protocol, kProtocolNames, "protocol");
+     }},
+    {"adversary", Kind::kName, kRunSpecCommands,
+     [](Options& o, const Arg& a) {
+       a.name(o.spec.adversary, kAdversaryNames, "adversary");
+     }},
+    {"corrupt", Kind::kNumber, kRunSpecCommands,
+     [](Options& o, const Arg& a) { a.number(o.spec.corruptions); }},
+    {"domain", Kind::kName, kRunSpecCommands,
+     [](Options& o, const Arg& a) { o.spec.domain = a.value; }},
+    {"backend", Kind::kName, kAgreementCommands,
+     [](Options& o, const Arg& a) { o.spec.backend = a.value; }},
+    {"faults", Kind::kText, kRunSpecCommands,
+     [](Options& o, const Arg& a) { o.spec.faults = a.value; }},
+    {"monitors", Kind::kName, kAgreementCommands,
+     [](Options& o, const Arg& a) {
+       a.name(o.spec.monitors, obs::kMonitorModeNames, "monitor mode");
+     }},
+    {"log-level", Kind::kName, kAgreementCommands,
+     [](Options&, const Arg& a) {
+       LogLevel level = log_level();
+       a.name(level, kLogLevelNames, "log level");
+       set_log_level(level);
+     }},
+    {"trace-out", Kind::kPath, kRunSpecCommands,
+     [](Options& o, const Arg& a) { o.spec.trace_out = a.value; }},
+    {"metrics-json", Kind::kPath, kRunSpecCommands,
+     [](Options& o, const Arg& a) { o.spec.metrics_out = a.value; }},
+    {"perf-json", Kind::kPath, kRunSpecCommands,
+     [](Options& o, const Arg& a) { o.spec.perf_out = a.value; }},
+    // A sweep would have every seed truncate the one heartbeat file.
+    {"stats-json", Kind::kPath, kRun | kServe,
+     [](Options& o, const Arg& a) { o.spec.stats_out = a.value; }},
+    {"stats-interval", Kind::kNumber, kRun | kServe,
+     [](Options& o, const Arg& a) {
+       a.number(o.spec.stats_interval_ms);
+       if (o.spec.stats_interval_ms <= 0) usage("--stats-interval must be > 0 (ms)");
+     }},
+    {"seeds", Kind::kNumber, kSweep,
+     [](Options& o, const Arg& a) { a.number(o.seeds); }},
+    {"jobs", Kind::kNumber, kSweep,
+     [](Options& o, const Arg& a) { a.number(o.jobs); }},
+    {"sweep-json", Kind::kPath, kSweep,
+     [](Options& o, const Arg& a) { o.sweep_json = a.value; }},
+    {"party", Kind::kText, kServe,
+     [](Options& o, const Arg& a) {
+       for (const auto& token : split_commas(a.value)) {
+         o.local_parties.push_back(options::number<PartyId>(a.key, token, &usage));
+       }
+     }},
+    {"peers", Kind::kText, kServe,
+     [](Options& o, const Arg& a) { o.peers = split_commas(a.value); }},
+    {"listen", Kind::kText, kServe,
+     [](Options& o, const Arg& a) { o.listen = a.value; }},
+    {"instances", Kind::kNumber, kBench,
+     [](Options& o, const Arg& a) { a.number(o.instances); }},
+    {"interarrival", Kind::kNumber, kBench,
+     [](Options& o, const Arg& a) { a.number(o.interarrival); }},
+    {"linger", Kind::kNumber, kBench,
+     [](Options& o, const Arg& a) { a.number(o.linger); }},
+    {"json", Kind::kPath, kBench | kPerf,
+     [](Options& o, const Arg& a) { o.bench_json = a.value; }},
+    {"trace", Kind::kPath, kReport,
+     [](Options& o, const Arg& a) { o.trace = a.value; }},
+    {"merge", Kind::kText, kReport,
+     [](Options& o, const Arg& a) { o.merge = a.value; }},
+    {"merged-out", Kind::kPath, kReport,
+     [](Options& o, const Arg& a) { o.merged_out = a.value; }},
+    {"metrics", Kind::kPath, kReport,
+     [](Options& o, const Arg& a) { o.metrics = a.value; }},
+    {"out", Kind::kPath, kReport,
+     [](Options& o, const Arg& a) { o.out = a.value; }},
+    {"format", Kind::kName, kReport,
+     [](Options& o, const Arg& a) {
+       a.name(o.report.format, obs::kReportFormatNames, "format");
+     }},
+    {"title", Kind::kText, kReport,
+     [](Options& o, const Arg& a) { o.report.title = a.value; }},
+    {"baseline", Kind::kPath, kPerf,
+     [](Options& o, const Arg& a) { o.baseline = a.value; }},
+    {"budget", Kind::kNumber, kPerf,
+     [](Options& o, const Arg& a) { a.number(o.budget); }},
+    {"input", Kind::kPath, kPerf | kTop,
+     [](Options& o, const Arg& a) { o.input = a.value; }},
+    {"top", Kind::kNumber, kPerf,
+     [](Options& o, const Arg& a) { a.number(o.top); }},
+};
+
+void usage(const std::string& error) {
+  if (!error.empty()) std::fprintf(stderr, "error: %s\n\n", error.c_str());
+  std::fprintf(stderr,
+               "usage: hydra <run|sweep|serve|join|bench|report|perf|top|list> "
+               "[--key value | --key=value ...]\n");
+  static constexpr const char* kPlaceholder[] = {"N", "NAME", "PATH", "TEXT"};
+  for (const auto& [command, label] : kCommandNames) {
+    std::string text = std::string(label) + " keys:";
+    std::size_t width = text.size();
+    for (const auto& row : kOptions) {
+      if ((row.commands & command) == 0) continue;
+      const std::string item = " --" + std::string(row.key) + ' ' +
+                               kPlaceholder[static_cast<int>(row.kind)];
+      if (width + item.size() > 78) {
+        text += "\n   ";
+        width = 3;
       }
-      spec.params.dim = *rd;
+      text += item;
+      width += item.size();
     }
-    const double min_eps = dom->min_eps();
-    if (kv.count("eps") == 0) {
-      spec.params.eps = std::max(spec.params.eps, min_eps);
-    } else if (spec.params.eps < min_eps) {
-      const std::string msg =
-          "--domain=" + spec.domain + " needs --eps >= " + fmt(min_eps) +
-          " (vertex labels are integers; 1-agreement means adjacent vertices)";
-      usage(msg.c_str());
-    }
+    std::fprintf(stderr, "%s\n", text.c_str());
   }
+  std::fprintf(stderr, "run `hydra list` for accepted values.\n");
+  std::exit(2);
+}
 
-  if (spec.protocol == Protocol::kHybrid) {
-    if (spec.domain == "euclid") {
-      if (!spec.params.feasible()) {
-        usage("params violate (D+1) ts + ta < n (or n <= 3 ts)");
-      }
-    } else if (!hydra::domain::find(spec.domain)
-                    ->feasible(spec.params.n, spec.params.ts, spec.params.ta,
-                               spec.params.dim)) {
-      const std::string msg = "--domain=" + spec.domain +
-                              " needs n > 3 ts and n > 2 ts + ta";
-      usage(msg.c_str());
+void list_values() {
+  std::printf("protocol   : %s\n", names_of(kProtocolNames).c_str());
+  std::printf("network    : %s\n", names_of(kNetworkNames).c_str());
+  std::printf("adversary  : %s\n", names_of(kAdversaryNames).c_str());
+  std::printf("workload   : %s\n", names_of(kWorkloadNames).c_str());
+  std::printf("aggregation: %s\n", names_of(protocols::kAggregationNames).c_str());
+  std::printf("log-level  : %s\n", names_of(kLogLevelNames).c_str());
+  std::printf("monitors   : %s\n", names_of(obs::kMonitorModeNames).c_str());
+  std::printf("faults     : dup(p=P[,skew=T][,from=I][,to=I]) "
+              "reorder(p=P[,skew=T][,from=I][,to=I]) "
+              "crash(party=I,at=T[,until=T]) "
+              "partition(group=I.J...,from=T,until=T), ';'-separated\n");
+  std::printf("backend    : %s\n", joined(backend_names()).c_str());
+  std::printf("domain     : %s\n", hydra::domain::known_names().c_str());
+  std::printf("format     : %s (hydra report)\n",
+              names_of(obs::kReportFormatNames).c_str());
+}
+
+/// The options of `command`, read from argv[first, argc) through kOptions.
+Options parse(Command command, int argc, char** argv, int first) {
+  // The library default is kOff; the CLI surfaces errors unless silenced,
+  // so e.g. an unwritable --trace-out path never fails without a message.
+  if ((command & kAgreementCommands) != 0) set_log_level(LogLevel::kError);
+  Options opts;
+  for (const auto& [key, value] : options::parse_kv(argc, argv, first, &usage)) {
+    const auto row = std::find_if(std::begin(kOptions), std::end(kOptions),
+                                  [&key](const Option& o) { return o.key == key; });
+    if (row == std::end(kOptions) || (row->commands & command) == 0) {
+      usage("unknown option --" + key);
     }
+    row->set(opts, Arg{key, value});
+    opts.given.insert(key);
   }
-  if (spec.corruptions >= spec.params.n) usage("corrupt must be < n");
   return opts;
+}
+
+/// Fills the defaults that depend on other keys (a graph domain's dim and
+/// minimum eps), then rejects a spec that cannot run as a usage error.
+void check_spec(Options& opts) {
+  auto& p = opts.spec.params;
+  if (const auto* dom = hydra::domain::find(opts.spec.domain)) {
+    if (const auto rd = dom->required_dim(); rd && opts.given.count("dim") == 0) {
+      p.dim = *rd;
+    }
+    if (opts.given.count("eps") == 0) p.eps = std::max(p.eps, dom->min_eps());
+  }
+  if (const std::string error = spec_error(opts.spec); !error.empty()) usage(error);
 }
 
 /// Expands a comma-separated list of paths and/or glob patterns into sorted
@@ -518,9 +508,7 @@ Options parse(int argc, char** argv, const Keys& extra = {}) {
 /// no-op on a typo.
 std::vector<std::string> expand_inputs(const std::string& patterns) {
   std::vector<std::string> out;
-  std::string token;
-  std::istringstream in(patterns);
-  while (std::getline(in, token, ',')) {
+  for (const auto& token : split_commas(patterns)) {
     if (token.empty()) continue;
     glob_t g{};
     if (::glob(token.c_str(), 0, nullptr, &g) == 0) {
@@ -612,17 +600,16 @@ int cmd_serve(Options opts) {
   auto& spec = opts.spec;
   if (opts.local_parties.empty()) usage("serve/join requires --party I[,J...]");
   if (opts.peers.empty()) usage("serve/join requires --peers A0,...,A(n-1)");
-  if (opts.n_given && opts.peers.size() != spec.params.n) {
+  if (opts.given.count("n") > 0 && opts.peers.size() != spec.params.n) {
     usage("--peers must list exactly n endpoints (or omit --n)");
   }
   spec.params.n = opts.peers.size();
-  if (!opts.backend_given) spec.backend = "tcp";
+  if (opts.given.count("backend") == 0) spec.backend = "tcp";
   if (spec.backend != "tcp" && spec.backend != "uds") {
     usage("serve/join requires a socket backend (tcp or uds)");
   }
-  for (const PartyId id : opts.local_parties) {
-    if (id >= spec.params.n) usage("--party id >= n (the --peers count)");
-  }
+  spec.socket_local = opts.local_parties;
+  check_spec(opts);
   if (!opts.listen.empty()) {
     if (opts.local_parties.size() != 1) {
       usage("--listen needs exactly one --party (it overrides one endpoint)");
@@ -634,17 +621,12 @@ int cmd_serve(Options opts) {
     // would otherwise die much later in an inscrutable bind/connect failure.
     for (const auto& endpoint : opts.peers) {
       const std::string error = transport::validate_uds_endpoint(endpoint);
-      if (!error.empty()) usage(error.c_str());
+      if (!error.empty()) usage(error);
     }
   }
   spec.socket_endpoints = opts.peers;
-  spec.socket_local = opts.local_parties;
   std::signal(SIGTERM, &flush_and_exit);
   std::signal(SIGINT, &flush_and_exit);
-  if (spec.protocol == Protocol::kHybrid && !spec.params.feasible()) {
-    usage("params violate (D+1) ts + ta < n (or n <= 3 ts) for the --peers count");
-  }
-  if (spec.corruptions >= spec.params.n) usage("corrupt must be < n");
   return cmd_run(opts);
 }
 
@@ -652,7 +634,17 @@ int cmd_serve(Options opts) {
 /// one process (every non-self message crosses the OS) and report
 /// instances/sec + decision-latency percentiles, optionally as a
 /// hydra-bench-v1 JSON document (--json).
-int cmd_bench_serve(const Options& opts) {
+int cmd_bench_serve(Options opts) {
+  if (opts.given.count("backend") == 0) opts.spec.backend = "uds";
+  if (opts.spec.backend != "tcp" && opts.spec.backend != "uds") {
+    usage("bench serve sustains load on a socket backend (tcp or uds)");
+  }
+  if (opts.instances == 0) usage("--instances must be >= 1");
+  if (opts.interarrival < 0) usage("--interarrival must be >= 0 (ticks)");
+  // What run_serve executes: every party slot honest.
+  opts.spec.adversary = Adversary::kNone;
+  opts.spec.corruptions = 0;
+  check_spec(opts);
   serve::ServeSpec spec;
   spec.params = opts.spec.params;
   spec.workload = opts.spec.workload;
@@ -660,16 +652,12 @@ int cmd_bench_serve(const Options& opts) {
   spec.network = opts.spec.network;
   spec.seed = opts.spec.seed;
   spec.monitors = opts.spec.monitors;
-  spec.backend = opts.backend_given ? opts.spec.backend : "uds";
-  if (spec.backend != "tcp" && spec.backend != "uds") {
-    usage("bench serve sustains load on a socket backend (tcp or uds)");
-  }
+  spec.backend = opts.spec.backend;
   spec.instances = opts.instances;
   spec.interarrival = opts.interarrival;
   spec.linger = opts.linger;
   spec.us_per_tick = opts.spec.us_per_tick;
   spec.timeout_ms = opts.spec.timeout_ms;
-  if (spec.instances == 0) usage("--instances must be >= 1");
 
   const auto result = serve::run_serve(spec);
   const double wall_s = static_cast<double>(result.wall_ms) / 1000.0;
@@ -801,14 +789,11 @@ int cmd_sweep(const Options& opts) {
   return failures.empty() && monitor_violations == 0 ? 0 : 1;
 }
 
-int cmd_report(int argc, char** argv) {
-  const auto kv = parse_kv(argc, argv, kReportKeys);
-  const auto trace_path = kv.find("trace");
-  const auto merge_glob = kv.find("merge");
-  if (trace_path == kv.end() && merge_glob == kv.end()) {
+int cmd_report(const Options& opts) {
+  if (opts.trace.empty() && opts.merge.empty()) {
     usage("report requires --trace PATH or --merge GLOB");
   }
-  if (trace_path != kv.end() && merge_glob != kv.end()) {
+  if (!opts.trace.empty() && !opts.merge.empty()) {
     usage("--trace and --merge are mutually exclusive");
   }
 
@@ -818,12 +803,10 @@ int cmd_report(int argc, char** argv) {
   // makes `hydra report --merge ...` usable directly as a CI check.
   std::string merged;
   std::uint64_t merge_violations = 0;
-  std::string source_name;
-  if (merge_glob != kv.end()) {
-    const auto paths = expand_inputs(merge_glob->second);
+  if (!opts.merge.empty()) {
+    const auto paths = expand_inputs(opts.merge);
     if (paths.empty()) {
-      std::fprintf(stderr, "error: --merge '%s' names no files\n",
-                   merge_glob->second.c_str());
+      std::fprintf(stderr, "error: --merge '%s' names no files\n", opts.merge.c_str());
       return 1;
     }
     const auto result = obs::merge_traces(paths);
@@ -839,40 +822,37 @@ int cmd_report(int argc, char** argv) {
                  result.reevaluated ? "global monitors re-evaluated"
                                     : "incomplete (no re-evaluation)",
                  static_cast<unsigned long long>(result.violations));
-    if (const auto out = kv.find("merged-out"); out != kv.end()) {
-      std::ofstream f(out->second);
+    if (!opts.merged_out.empty()) {
+      std::ofstream f(opts.merged_out);
       if (!f) {
-        std::fprintf(stderr, "error: cannot write %s\n", out->second.c_str());
+        std::fprintf(stderr, "error: cannot write %s\n", opts.merged_out.c_str());
         return 1;
       }
       f << result.merged;
     }
     merged = result.merged;
     merge_violations = result.violations;
-    source_name = merge_glob->second;
-  } else {
-    source_name = trace_path->second;
   }
+  const std::string& source_name = opts.merge.empty() ? opts.trace : opts.merge;
 
   std::ifstream trace_file;
   std::istringstream merged_stream(merged);
-  if (trace_path != kv.end()) {
-    trace_file.open(trace_path->second);
+  if (!opts.trace.empty()) {
+    trace_file.open(opts.trace);
     if (!trace_file) {
-      std::fprintf(stderr, "error: cannot read trace %s\n",
-                   trace_path->second.c_str());
+      std::fprintf(stderr, "error: cannot read trace %s\n", opts.trace.c_str());
       return 1;
     }
   }
-  std::istream& trace =
-      trace_path != kv.end() ? static_cast<std::istream&>(trace_file)
-                             : static_cast<std::istream&>(merged_stream);
+  std::istream& trace = !opts.trace.empty()
+                            ? static_cast<std::istream&>(trace_file)
+                            : static_cast<std::istream&>(merged_stream);
 
   std::string metrics;
-  if (const auto it = kv.find("metrics"); it != kv.end()) {
-    std::ifstream in(it->second);
+  if (!opts.metrics.empty()) {
+    std::ifstream in(opts.metrics);
     if (!in) {
-      std::fprintf(stderr, "error: cannot read metrics %s\n", it->second.c_str());
+      std::fprintf(stderr, "error: cannot read metrics %s\n", opts.metrics.c_str());
       return 1;
     }
     std::ostringstream buffer;
@@ -880,24 +860,14 @@ int cmd_report(int argc, char** argv) {
     metrics = buffer.str();
   }
 
-  obs::ReportOptions options;
-  if (const auto it = kv.find("format"); it != kv.end()) {
-    if (it->second == "html") {
-      options.format = obs::ReportOptions::Format::kHtml;
-    } else if (it->second != "md") {
-      usage("unknown format (md|html)");
-    }
-  }
-  if (const auto it = kv.find("title"); it != kv.end()) options.title = it->second;
-
   const auto render = [&](std::ostream& out) {
-    return obs::render_report(trace, metrics, options, out);
+    return obs::render_report(trace, metrics, opts.report, out);
   };
   std::size_t events = 0;
-  if (const auto it = kv.find("out"); it != kv.end()) {
-    std::ofstream out(it->second);
+  if (!opts.out.empty()) {
+    std::ofstream out(opts.out);
     if (!out) {
-      std::fprintf(stderr, "error: cannot write %s\n", it->second.c_str());
+      std::fprintf(stderr, "error: cannot write %s\n", opts.out.c_str());
       return 1;
     }
     events = render(out);
@@ -947,21 +917,24 @@ void merge_phase_rows(std::map<std::string, harness::PhaseRow>& acc,
   }
 }
 
-int cmd_perf(int argc, char** argv) {
-  const auto kv = parse_kv(argc, argv, kPerfKeys);
+int cmd_perf(const Options& opts) {
+  // The two modes share the subcommand but no keys.
+  const bool kernel_keys = opts.given.count("json") + opts.given.count("baseline") +
+                               opts.given.count("budget") > 0;
+  if (!opts.input.empty() && kernel_keys) {
+    usage("--json, --baseline and --budget measure the kernels; drop them or --input");
+  }
+  if (opts.input.empty() && opts.given.count("top") > 0) {
+    usage("--top ranks --input profiles; pass --input");
+  }
 
   // Phase-profile mode: render --perf-json documents. Several files (a glob
   // or comma list, e.g. every process of a distributed run or every seed of
   // a sweep) merge into one attribution table.
-  if (const auto it = kv.find("input"); it != kv.end()) {
-    std::size_t top = 0;
-    if (const auto t = kv.find("top"); t != kv.end()) {
-      top = number<std::size_t>("top", t->second);
-    }
-    const auto paths = expand_inputs(it->second);
+  if (!opts.input.empty()) {
+    const auto paths = expand_inputs(opts.input);
     if (paths.empty()) {
-      std::fprintf(stderr, "error: --input '%s' names no files\n",
-                   it->second.c_str());
+      std::fprintf(stderr, "error: --input '%s' names no files\n", opts.input.c_str());
       return 1;
     }
     std::map<std::string, harness::PhaseRow> acc;
@@ -980,15 +953,11 @@ int cmd_perf(int argc, char** argv) {
     if (paths.size() > 1) {
       std::printf("merged %zu phase profiles\n", paths.size());
     }
-    std::fputs(render_phase_report(std::move(merged), top).c_str(), stdout);
+    std::fputs(render_phase_report(std::move(merged), opts.top).c_str(), stdout);
     return 0;
   }
 
   // Kernel mode: measure the geometry kernels on fixed inputs.
-  double budget = 0.10;
-  if (const auto b = kv.find("budget"); b != kv.end()) {
-    budget = number<double>("budget", b->second);
-  }
   const auto metrics = measure_geometry_kernels();
   Table table({"kernel", "unit", "value", "repetitions"});
   for (const auto& m : metrics) {
@@ -996,21 +965,23 @@ int cmd_perf(int argc, char** argv) {
   }
   table.print();
 
-  if (const auto it = kv.find("json"); it != kv.end()) {
-    if (!write_bench_json(it->second, "geometry", metrics)) return 1;
+  if (!opts.bench_json.empty() &&
+      !write_bench_json(opts.bench_json, "geometry", metrics)) {
+    return 1;
   }
-  if (const auto it = kv.find("baseline"); it != kv.end()) {
-    const auto baseline = load_bench_json(it->second);
+  if (!opts.baseline.empty()) {
+    const auto baseline = load_bench_json(opts.baseline);
     if (!baseline) {
       std::fprintf(stderr, "error: %s is not a hydra-bench-v1 document\n",
-                   it->second.c_str());
+                   opts.baseline.c_str());
       return 1;
     }
     std::vector<std::string> regressions;
-    std::printf("\nvs %s (budget %+.0f%%):\n", it->second.c_str(), 100.0 * budget);
-    std::fputs(
-        render_delta_table(metrics, baseline->metrics, budget, &regressions).c_str(),
-        stdout);
+    std::printf("\nvs %s (budget %+.0f%%):\n", opts.baseline.c_str(),
+                100.0 * opts.budget);
+    std::fputs(render_delta_table(metrics, baseline->metrics, opts.budget, &regressions)
+                   .c_str(),
+               stdout);
     if (!regressions.empty()) {
       std::printf("\nREGRESSION:");
       for (const auto& name : regressions) std::printf(" %s", name.c_str());
@@ -1026,14 +997,12 @@ int cmd_perf(int argc, char** argv) {
 /// with `cat` also works — lines are self-identifying via `proc`), plus
 /// per-party progress from those newest lines. Reads a snapshot; re-run it
 /// (or `watch hydra top ...`) to follow a live run.
-int cmd_top(int argc, char** argv) {
-  const auto kv = parse_kv(argc, argv, kTopKeys);
-  const auto input = kv.find("input");
-  if (input == kv.end()) usage("top requires --input STATS_JSONL");
+int cmd_top(const Options& opts) {
+  if (opts.input.empty()) usage("top requires --input STATS_JSONL");
 
   std::map<std::uint64_t, obs::JsonValue> latest;  ///< by proc tag (0 = untagged)
   std::uint64_t skipped = 0;
-  for (const auto& path : expand_inputs(input->second)) {
+  for (const auto& path : expand_inputs(opts.input)) {
     std::ifstream in(path);
     if (!in) {
       std::fprintf(stderr, "error: cannot read %s\n", path.c_str());
@@ -1054,7 +1023,7 @@ int cmd_top(int argc, char** argv) {
   }
   if (latest.empty()) {
     std::fprintf(stderr, "error: no hydra-stats-v1 heartbeats in %s%s\n",
-                 input->second.c_str(),
+                 opts.input.c_str(),
                  skipped > 0 ? " (lines present but not parseable)" : "");
     return 1;
   }
@@ -1104,21 +1073,22 @@ int main(int argc, char** argv) {
     list_values();
     return 0;
   }
-  if (command == "report") return cmd_report(argc, argv);
-  if (command == "perf") return cmd_perf(argc, argv);
-  if (command == "top") return cmd_top(argc, argv);
+  if (command == "report") return cmd_report(parse(kReport, argc, argv, 2));
+  if (command == "perf") return cmd_perf(parse(kPerf, argc, argv, 2));
+  if (command == "top") return cmd_top(parse(kTop, argc, argv, 2));
   if (command == "bench") {
-    // `hydra bench serve [--keys]`: shift argv past "bench" so the shared
-    // option parser sees its usual <command> [--key value] shape.
     if (argc < 3 || std::string(argv[2]) != "serve") {
       usage("bench requires a mode: hydra bench serve [--keys]");
     }
-    return cmd_bench_serve(parse(argc - 1, argv + 1, kBenchServeKeys));
+    return cmd_bench_serve(parse(kBench, argc, argv, 3));
   }
-  if (command == "run") return cmd_run(parse(argc, argv));
-  if (command == "sweep") return cmd_sweep(parse(argc, argv));
   if (command == "serve" || command == "join") {
-    return cmd_serve(parse(argc, argv, kServeKeys));
+    return cmd_serve(parse(kServe, argc, argv, 2));
+  }
+  if (command == "run" || command == "sweep") {
+    auto opts = parse(command == "run" ? kRun : kSweep, argc, argv, 2);
+    check_spec(opts);
+    return command == "run" ? cmd_run(opts) : cmd_sweep(opts);
   }
   usage("unknown command");
 }

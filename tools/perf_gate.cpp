@@ -2,6 +2,9 @@
 //
 //   perf_gate --current PATH --baseline PATH [--budget FRAC] [--inflate F]
 //
+// Options take `--key value` or `--key=value`, like hydra's; an unknown key
+// or a value that is not a number is a usage error (exit 2).
+//
 // Exit 0 when every baseline metric is present in --current and within
 // budget (current <= baseline * (1 + budget); all units are
 // lower-is-better), 1 on any regression or missing metric, 2 on unreadable
@@ -13,46 +16,46 @@
 // regression (a gate that cannot fail is worse than no gate).
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "harness/perf.hpp"
+#include "options.hpp"
 
 using namespace hydra::harness;
+
+namespace {
+
+[[noreturn]] void usage(const std::string& error) {
+  std::fprintf(stderr,
+               "error: %s\nusage: perf_gate --current PATH --baseline PATH"
+               " [--budget FRAC] [--inflate F]\n",
+               error.c_str());
+  std::exit(2);
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   std::string current_path;
   std::string baseline_path;
   double budget = 0.10;
   double inflate = 1.0;
-  for (int i = 1; i < argc; ++i) {
-    const auto arg = [&](const char* name) -> const char* {
-      if (std::strcmp(argv[i], name) != 0) return nullptr;
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: %s needs a value\n", name);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (const char* v = arg("--current")) {
-      current_path = v;
-    } else if (const char* v = arg("--baseline")) {
-      baseline_path = v;
-    } else if (const char* v = arg("--budget")) {
-      budget = std::strtod(v, nullptr);
-    } else if (const char* v = arg("--inflate")) {
-      inflate = std::strtod(v, nullptr);
+  for (const auto& [key, value] : hydra::options::parse_kv(argc, argv, 1, &usage)) {
+    if (key == "current") {
+      current_path = value;
+    } else if (key == "baseline") {
+      baseline_path = value;
+    } else if (key == "budget") {
+      budget = hydra::options::number<double>(key, value, &usage);
+    } else if (key == "inflate") {
+      inflate = hydra::options::number<double>(key, value, &usage);
     } else {
-      std::fprintf(stderr,
-                   "usage: perf_gate --current PATH --baseline PATH"
-                   " [--budget FRAC] [--inflate F]\n");
-      return 2;
+      usage("unknown option --" + key);
     }
   }
   if (current_path.empty() || baseline_path.empty()) {
-    std::fprintf(stderr, "error: --current and --baseline are required\n");
-    return 2;
+    usage("--current and --baseline are required");
   }
 
   auto current = load_bench_json(current_path);
