@@ -3,7 +3,7 @@
 //
 // There is no uninstrumented build to compare against, so
 // obs_baseline_sim.{hpp,cpp} carries a replica of sim::Simulation's event
-// loop — same Event struct, ordering, Env virtual dispatch, delay-model draw
+// loop — same slab queue, ordering, Env virtual dispatch, delay-model draw
 // and queue discipline — with the `if (obs::enabled())` branches deleted,
 // compiled in its own translation unit so both loops pay the same cross-TU
 // inlining boundaries. Both run the same message-flood workload (the

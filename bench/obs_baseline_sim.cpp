@@ -24,11 +24,8 @@ class BaselineSim::PartyEnv final : public sim::Env {
   }
 
   void set_timer(Time at, std::uint64_t timer_id) override {
-    BaselineSim* sim = sim_;
-    const PartyId id = id_;
-    sim_->schedule_phase(std::max(at, sim_->now_), Phase::kTimer, [sim, id, timer_id] {
-      sim->parties_[id]->on_timer(*sim->envs_[id], timer_id);
-    });
+    sim_->push(std::max(at, sim_->now_), Phase::kTimer,
+               PendingEvent{.kind = EventKind::kTimer, .to = id_, .id = timer_id});
   }
 
   [[nodiscard]] Time now() const override { return sim_->now_; }
@@ -53,8 +50,33 @@ void BaselineSim::add_party(std::unique_ptr<sim::IParty> party) {
   envs_.push_back(std::make_unique<PartyEnv>(this, id));
 }
 
-void BaselineSim::schedule_phase(Time at, Phase phase, std::function<void()> fn) {
-  queue_.push(Event{at, phase, next_seq_++, std::move(fn)});
+void BaselineSim::push(Time at, Phase phase, PendingEvent ev) {
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slab_.size());
+    slab_.push_back(std::move(ev));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slab_[slot] = std::move(ev);
+  }
+  queue_.push(Entry{at, phase, next_seq_++, slot});
+}
+
+void BaselineSim::fire(std::uint32_t slot) {
+  PendingEvent ev = std::move(slab_[slot]);
+  free_slots_.push_back(slot);
+  switch (ev.kind) {
+    case EventKind::kStart:
+      parties_[ev.to]->start(*envs_[ev.to]);
+      break;
+    case EventKind::kMessage:
+      parties_[ev.to]->on_message(*envs_[ev.to], ev.from, ev.msg);
+      break;
+    case EventKind::kTimer:
+      parties_[ev.to]->on_timer(*envs_[ev.to], ev.id);
+      break;
+  }
 }
 
 void BaselineSim::deliver(PartyId from, PartyId to, sim::Message msg) {
@@ -66,28 +88,23 @@ void BaselineSim::deliver(PartyId from, PartyId to, sim::Message msg) {
   const Duration d =
       from == to ? 0 : delay_model_->delay(from, to, now_, msg, rng_);
   HYDRA_ASSERT(from == to || d >= 1);
-  BaselineSim* sim = this;
-  schedule_phase(now_ + d, Phase::kMessage, [sim, to, msg = std::move(msg), from] {
-    sim->parties_[to]->on_message(*sim->envs_[to], from, msg);
-  });
+  push(now_ + d, Phase::kMessage,
+       PendingEvent{.kind = EventKind::kMessage, .from = from, .to = to,
+                    .msg = std::move(msg)});
 }
 
 std::uint64_t BaselineSim::run() {
   for (PartyId id = 0; id < parties_.size(); ++id) {
-    BaselineSim* sim = this;
-    schedule_phase(0, Phase::kMessage,
-                   [sim, id] { sim->parties_[id]->start(*sim->envs_[id]); });
+    push(0, Phase::kMessage, PendingEvent{.kind = EventKind::kStart, .to = id});
   }
   while (!queue_.empty()) {
     if (events_ >= config_.max_events || queue_.top().at > config_.max_time) break;
-    // Move-on-pop, mirroring sim::Simulation: top() is const but the
-    // comparator only reads scalar fields, so gutting the closure is safe.
-    Event ev = std::move(const_cast<Event&>(queue_.top()));
+    const Entry top = queue_.top();
     queue_.pop();
-    HYDRA_ASSERT(ev.at >= now_);
-    now_ = ev.at;
+    HYDRA_ASSERT(top.at >= now_);
+    now_ = top.at;
     events_ += 1;
-    ev.fn();
+    fire(top.slot);
   }
   return events_;
 }

@@ -24,9 +24,10 @@
 
 namespace hydra::benchobs {
 
-/// sim::Simulation with the obs branches deleted; everything else — event
-/// struct, tie-breaking, Env dispatch, delay draws — mirrors the original so
-/// the timing difference isolates the disabled-path instrumentation cost.
+/// sim::Simulation with the obs branches deleted; everything else — the
+/// closure-free slab queue, tie-breaking, Env dispatch, delay draws —
+/// mirrors the original so the timing difference isolates the disabled-path
+/// instrumentation cost.
 class BaselineSim {
  public:
   BaselineSim(sim::SimConfig config, std::unique_ptr<sim::DelayModel> delay_model);
@@ -45,28 +46,43 @@ class BaselineSim {
 
   enum class Phase : std::uint8_t { kMessage = 0, kTimer = 1 };
 
-  struct Event {
+  /// The simulator's event kinds minus the traced delivery (an obs branch)
+  /// and the schedule() test hook; the callback slot stays so slab entries
+  /// keep the simulator's layout.
+  enum class EventKind : std::uint8_t { kStart, kMessage, kTimer };
+  struct PendingEvent {
+    EventKind kind = EventKind::kStart;
+    PartyId from = 0;
+    PartyId to = 0;
+    std::uint64_t id = 0;
+    sim::Message msg;
+    std::function<void()> fn;
+  };
+  struct Entry {
     Time at;
     Phase phase;
     std::uint64_t seq;
-    std::function<void()> fn;
+    std::uint32_t slot;
   };
-  struct EventOrder {
-    bool operator()(const Event& a, const Event& b) const noexcept {
+  struct EntryOrder {
+    bool operator()(const Entry& a, const Entry& b) const noexcept {
       if (a.at != b.at) return a.at > b.at;
       if (a.phase != b.phase) return a.phase > b.phase;
       return a.seq > b.seq;
     }
   };
 
-  void schedule_phase(Time at, Phase phase, std::function<void()> fn);
+  void push(Time at, Phase phase, PendingEvent ev);
+  void fire(std::uint32_t slot);
   void deliver(PartyId from, PartyId to, sim::Message msg);
 
   sim::SimConfig config_;
   std::unique_ptr<sim::DelayModel> delay_model_;
   Rng rng_;
-  std::priority_queue<Event, std::vector<Event>, EventOrder> queue_;
+  std::priority_queue<Entry, std::vector<Entry>, EntryOrder> queue_;
   std::uint64_t next_seq_ = 0;
+  std::vector<PendingEvent> slab_;
+  std::vector<std::uint32_t> free_slots_;
   std::vector<std::unique_ptr<sim::IParty>> parties_;
   std::vector<std::unique_ptr<PartyEnv>> envs_;
   Time now_ = 0;

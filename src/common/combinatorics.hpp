@@ -5,7 +5,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -30,19 +30,20 @@ namespace hydra {
 }
 
 /// Invokes `fn` with each k-element index subset of {0, .., n-1}, in
-/// lexicographic order. `fn` receives the subset as a const reference that is
-/// only valid during the call.
-inline void for_each_combination(std::size_t n, std::size_t k,
-                                 const std::function<void(const std::vector<std::size_t>&)>& fn) {
+/// lexicographic order. `fn` receives the subset as a const
+/// std::vector<std::size_t>& that is only valid during the call; the one
+/// index buffer is reused across all C(n, k) subsets.
+template <typename Fn>
+void for_each_combination(std::size_t n, std::size_t k, Fn&& fn) {
   HYDRA_ASSERT(k <= n);
   std::vector<std::size_t> idx(k);
   for (std::size_t i = 0; i < k; ++i) idx[i] = i;
   if (k == 0) {
-    fn(idx);
+    fn(std::as_const(idx));
     return;
   }
   while (true) {
-    fn(idx);
+    fn(std::as_const(idx));
     // Advance to next combination.
     std::size_t i = k;
     while (i > 0) {
@@ -58,11 +59,11 @@ inline void for_each_combination(std::size_t n, std::size_t k,
   }
 }
 
-/// Complement of `removed` within {0,..,n-1}; both sorted ascending.
-[[nodiscard]] inline std::vector<std::size_t> complement_indices(
-    std::size_t n, const std::vector<std::size_t>& removed) {
-  std::vector<std::size_t> kept;
-  kept.reserve(n - removed.size());
+/// Complement of `removed` within {0,..,n-1} into `kept` (cleared first, so
+/// one buffer serves every subset of an enumeration); both sorted ascending.
+inline void complement_indices(std::size_t n, const std::vector<std::size_t>& removed,
+                               std::vector<std::size_t>& kept) {
+  kept.clear();
   std::size_t r = 0;
   for (std::size_t i = 0; i < n; ++i) {
     if (r < removed.size() && removed[r] == i) {
@@ -71,6 +72,14 @@ inline void for_each_combination(std::size_t n, std::size_t k,
       kept.push_back(i);
     }
   }
+}
+
+/// Complement of `removed` within {0,..,n-1}; both sorted ascending.
+[[nodiscard]] inline std::vector<std::size_t> complement_indices(
+    std::size_t n, const std::vector<std::size_t>& removed) {
+  std::vector<std::size_t> kept;
+  kept.reserve(n - removed.size());
+  complement_indices(n, removed, kept);
   return kept;
 }
 

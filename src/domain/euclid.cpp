@@ -62,14 +62,13 @@ class EuclidDomain final : public ValueDomain {
     }
 
     std::vector<std::vector<geo::Vec>> hulls;
+    std::vector<std::size_t> kept;
     for_each_combination(values.size(), t,
                          [&](const std::vector<std::size_t>& removed) {
-                           const auto kept =
-                               complement_indices(values.size(), removed);
-                           std::vector<geo::Vec> h;
+                           complement_indices(values.size(), removed, kept);
+                           auto& h = hulls.emplace_back();
                            h.reserve(kept.size());
                            for (auto i : kept) h.push_back(values[i]);
-                           hulls.push_back(std::move(h));
                          });
     const auto witness = geo::intersection_point(hulls, 1e-9);
     HYDRA_ASSERT_MSG(witness.has_value(),

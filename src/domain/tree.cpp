@@ -151,12 +151,12 @@ AggregateResult TreeDomain::aggregate(const AggregateSpec& spec,
   // safe_t(M): intersect the geodesic hulls of every |M| - t subset
   // (combinations over positions, multiplicity preserved — Definition 5.1).
   std::optional<std::set<std::uint32_t>> safe;
+  std::vector<std::size_t> kept;
+  std::vector<std::uint32_t> subset;
   for_each_combination(labels.size(), t,
                        [&](const std::vector<std::size_t>& removed) {
-                         const auto kept =
-                             complement_indices(labels.size(), removed);
-                         std::vector<std::uint32_t> subset;
-                         subset.reserve(kept.size());
+                         complement_indices(labels.size(), removed, kept);
+                         subset.clear();
                          for (auto i : kept) subset.push_back(labels[i]);
                          auto h = hull(subset);
                          if (!safe) {

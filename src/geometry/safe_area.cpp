@@ -18,12 +18,11 @@ namespace {
 // loudly rather than hang if a caller goes overboard.
 constexpr std::uint64_t kMaxRestrictions = 2'000'000;
 
-std::vector<Vec> subset_values(std::span<const Vec> values,
-                               const std::vector<std::size_t>& kept) {
-  std::vector<Vec> out;
-  out.reserve(kept.size());
+/// values[kept[0]], values[kept[1]], ... into `out` (cleared first).
+void subset_values(std::span<const Vec> values, const std::vector<std::size_t>& kept,
+                   std::vector<Vec>& out) {
+  out.clear();
   for (std::size_t i : kept) out.push_back(values[i]);
-  return out;
 }
 
 /// Deterministic direction set: the 2*D axis directions plus `extra` unit
@@ -130,10 +129,12 @@ SafeArea SafeArea::compute(std::span<const Vec> values, std::size_t t,
     ConvexPolygon2D region;
     bool first = true;
     bool is_empty = false;
+    std::vector<std::size_t> kept;
+    std::vector<Vec> pts;  // reused across all C(m, t) restrictions
     for_each_combination(m, t, [&](const std::vector<std::size_t>& removed) {
       if (is_empty) return;
-      const auto kept = complement_indices(m, removed);
-      const auto pts = subset_values(values, kept);
+      complement_indices(m, removed, kept);
+      subset_values(values, kept, pts);
       const auto hull = ConvexPolygon2D::hull_of(pts);
       if (first) {
         region = hull;
@@ -151,9 +152,10 @@ SafeArea SafeArea::compute(std::span<const Vec> values, std::size_t t,
 
   // D >= 3: retain the restriction point sets (membership tests run one LP
   // per hull against them in any case).
+  std::vector<std::size_t> kept;
   for_each_combination(m, t, [&](const std::vector<std::size_t>& removed) {
-    const auto kept = complement_indices(m, removed);
-    sa.hulls_.push_back(subset_values(values, kept));
+    complement_indices(m, removed, kept);
+    subset_values(values, kept, sa.hulls_.emplace_back());
   });
 
   if (dim == 3) {

@@ -1,11 +1,14 @@
 // Points/vectors in R^D with value semantics.
 //
-// Dimension is a runtime property (the protocol is parameterized by D), so a
-// Vec owns a small heap vector of coordinates. All pairwise operations assert
+// Dimension is a runtime property (the protocol is parameterized by D). Up to
+// kInlineDim coordinates live inside the Vec itself, so the D <= 4 points the
+// protocols and geometry kernels shuffle by the million never touch the
+// heap; only D > kInlineDim allocates. All pairwise operations assert
 // matching dimensions.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <compare>
 #include <cstddef>
@@ -20,36 +23,53 @@ namespace hydra::geo {
 
 class Vec {
  public:
+  static constexpr std::size_t kInlineDim = 4;
+
   Vec() = default;
 
-  explicit Vec(std::size_t dim, double fill = 0.0) : coords_(dim, fill) {}
+  explicit Vec(std::size_t dim, double fill = 0.0) {
+    if (dim > kInlineDim) {
+      heap_.assign(dim, fill);
+    } else {
+      inline_dim_ = dim;
+      std::fill_n(inline_.begin(), dim, fill);
+    }
+  }
 
-  Vec(std::initializer_list<double> values) : coords_(values) {}
+  Vec(std::initializer_list<double> values) { assign(values.begin(), values.size()); }
 
-  explicit Vec(std::vector<double> values) : coords_(std::move(values)) {}
+  explicit Vec(const std::vector<double>& values) { assign(values.data(), values.size()); }
 
-  [[nodiscard]] std::size_t dim() const noexcept { return coords_.size(); }
+  [[nodiscard]] std::size_t dim() const noexcept {
+    return heap_.empty() ? inline_dim_ : heap_.size();
+  }
 
-  [[nodiscard]] double operator[](std::size_t i) const noexcept { return coords_[i]; }
-  [[nodiscard]] double& operator[](std::size_t i) noexcept { return coords_[i]; }
+  [[nodiscard]] double operator[](std::size_t i) const noexcept { return begin_ptr()[i]; }
+  [[nodiscard]] double& operator[](std::size_t i) noexcept { return begin_ptr()[i]; }
 
-  [[nodiscard]] std::span<const double> coords() const noexcept { return coords_; }
-  [[nodiscard]] const std::vector<double>& data() const noexcept { return coords_; }
+  [[nodiscard]] std::span<const double> coords() const noexcept {
+    return {begin_ptr(), dim()};
+  }
 
   Vec& operator+=(const Vec& rhs) {
     HYDRA_ASSERT(dim() == rhs.dim());
-    for (std::size_t i = 0; i < coords_.size(); ++i) coords_[i] += rhs.coords_[i];
+    double* c = begin_ptr();
+    const double* r = rhs.begin_ptr();
+    for (std::size_t i = 0, d = dim(); i < d; ++i) c[i] += r[i];
     return *this;
   }
 
   Vec& operator-=(const Vec& rhs) {
     HYDRA_ASSERT(dim() == rhs.dim());
-    for (std::size_t i = 0; i < coords_.size(); ++i) coords_[i] -= rhs.coords_[i];
+    double* c = begin_ptr();
+    const double* r = rhs.begin_ptr();
+    for (std::size_t i = 0, d = dim(); i < d; ++i) c[i] -= r[i];
     return *this;
   }
 
   Vec& operator*=(double s) noexcept {
-    for (double& c : coords_) c *= s;
+    double* c = begin_ptr();
+    for (std::size_t i = 0, d = dim(); i < d; ++i) c[i] *= s;
     return *this;
   }
 
@@ -59,7 +79,9 @@ class Vec {
   [[nodiscard]] friend Vec operator*(double s, Vec rhs) noexcept { return rhs *= s; }
 
   [[nodiscard]] friend bool operator==(const Vec& a, const Vec& b) noexcept {
-    return a.coords_ == b.coords_;
+    const auto ca = a.coords();
+    const auto cb = b.coords();
+    return std::equal(ca.begin(), ca.end(), cb.begin(), cb.end());
   }
 
   /// Lexicographic order; the paper uses "R^D is totally ordered" to pick the
@@ -76,7 +98,28 @@ class Vec {
   }
 
  private:
-  std::vector<double> coords_;
+  [[nodiscard]] const double* begin_ptr() const noexcept {
+    return heap_.empty() ? inline_.data() : heap_.data();
+  }
+  [[nodiscard]] double* begin_ptr() noexcept {
+    return heap_.empty() ? inline_.data() : heap_.data();
+  }
+
+  void assign(const double* values, std::size_t dim) {
+    if (dim > kInlineDim) {
+      heap_.assign(values, values + dim);
+    } else {
+      inline_dim_ = dim;
+      std::copy_n(values, dim, inline_.begin());
+    }
+  }
+
+  // The copy, move and destructor members are the defaulted ones: copying or
+  // moving an empty heap_ does not allocate, and a moved-from Vec with
+  // D > kInlineDim is left with an empty heap_ and so reads as dimension 0.
+  std::array<double, kInlineDim> inline_{};
+  std::size_t inline_dim_ = 0;  ///< dimension when heap_ is empty
+  std::vector<double> heap_;    ///< the coordinates when D > kInlineDim
 };
 
 /// Dot product.

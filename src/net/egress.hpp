@@ -26,8 +26,8 @@
 //
 // The pipeline is a template over its counter representation so each backend
 // pays only for the concurrency it needs: the single-threaded simulator
-// instantiates plain uint64 counters (EgressPipeline — the disabled path is
-// one obs::enabled() load plus plain arithmetic, held to < 2% overhead by
+// instantiates plain uint64 counters (EgressPipeline — on a fault-free run
+// with observability off it calls only account(), held to < 2% overhead by
 // bench_obs_overhead), while the thread transport instantiates relaxed
 // atomics (ConcurrentEgressPipeline — post() runs concurrently on every
 // sender thread).
@@ -143,13 +143,8 @@ class BasicEgressPipeline {
   /// fault-free fast path is a single branch). Returns what to enqueue.
   Egress on_send(PartyId from, PartyId to, const sim::Message& msg, Time now,
                  Duration base, faults::FaultInjector* injector) {
-    const bool self = from == to;
-    HYDRA_ASSERT(self || base >= 1);
-    if (!self) {
-      messages_.add(1);
-      bytes_.add(msg.wire_size());
-      sent_per_party_[from].add(1);
-    }
+    HYDRA_ASSERT(from == to || base >= 1);
+    account(from, to, msg);
     Egress out;
     out.copies = 1;
     out.delay[0] = base;
@@ -180,6 +175,18 @@ class BasicEgressPipeline {
       observe(from, to, msg, now, out, injector != nullptr, drop_reason);
     }
     return out;
+  }
+
+  /// Step 1 alone: the wire accounting of one send (self-deliveries exempt).
+  /// With lazy ids, no fault injector and observability off, it is all that
+  /// on_send() does; a backend that knows those hold for a whole run may
+  /// call it instead and schedule one copy at `base`.
+  void account(PartyId from, PartyId to, const sim::Message& msg) {
+    if (from != to) {
+      messages_.add(1);
+      bytes_.add(msg.wire_size());
+      sent_per_party_[from].add(1);
+    }
   }
 
   /// Folds the wire totals into `out`. Call after the run: on the thread

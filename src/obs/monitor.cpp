@@ -280,7 +280,7 @@ void MonitorHost::on_obc_output(
     }
   }
   // Overlap: |M_P intersect M_P'| >= n - ts for honest P, P' (Theorem 4.4).
-  std::set<PartyId> ids;
+  PartySet ids;
   for (const auto& [q, v] : pairs) ids.insert(q);
   for (const auto& [other, other_ids] : iter.outputs) {
     std::size_t common = 0;

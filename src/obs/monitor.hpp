@@ -47,7 +47,6 @@
 #include <map>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <string>
 #include <string_view>
 #include <tuple>
@@ -55,6 +54,7 @@
 #include <vector>
 
 #include "common/names.hpp"
+#include "common/party_set.hpp"
 #include "common/serialize.hpp"
 #include "common/types.hpp"
 #include "domain/domain.hpp"
@@ -238,14 +238,14 @@ class MonitorHost {
   // rbc state
   struct RbcRecord {
     std::uint64_t payload_hash = 0;
-    std::set<PartyId> delivered;  ///< honest parties only
+    PartySet delivered;  ///< honest parties only
   };
   std::map<std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>, RbcRecord> rbc_;
 
   // obc state
   struct ObcIteration {
     std::map<PartyId, geo::Vec> agreed;  ///< union of honest output pairs
-    std::vector<std::pair<PartyId, std::set<PartyId>>> outputs;  ///< per honest output
+    std::vector<std::pair<PartyId, PartySet>> outputs;  ///< per honest output
   };
   std::map<std::uint32_t, ObcIteration> obc_;
 

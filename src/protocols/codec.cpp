@@ -13,6 +13,17 @@ bool finite_vec(const geo::Vec& v) {
   return true;
 }
 
+/// Reads one length-prefixed coordinate vector straight into a Vec (no
+/// intermediate buffer); nullopt unless it holds exactly `dim` coordinates.
+std::optional<geo::Vec> read_vec(Reader& r, std::size_t dim) {
+  const std::uint32_t len = r.u32();
+  if (!r.ok() || len != dim) return std::nullopt;
+  geo::Vec v(dim);
+  for (std::size_t d = 0; d < dim; ++d) v[d] = r.f64();
+  if (!r.ok()) return std::nullopt;
+  return v;
+}
+
 }  // namespace
 
 Bytes encode_value(const geo::Vec& v) {
@@ -24,11 +35,10 @@ Bytes encode_value(const geo::Vec& v) {
 std::optional<geo::Vec> decode_value(const Bytes& data, std::size_t dim,
                                      const hydra::domain::ValueDomain* dom) {
   Reader r(data);
-  auto coords = r.f64_vec(static_cast<std::uint32_t>(dim));
-  if (!r.ok() || !r.at_end() || coords.size() != dim) return std::nullopt;
-  geo::Vec v(std::move(coords));
-  if (!finite_vec(v)) return std::nullopt;
-  if (dom != nullptr && !dom->validate(v)) return std::nullopt;
+  auto v = read_vec(r, dim);
+  if (!v || !r.at_end()) return std::nullopt;
+  if (!finite_vec(*v)) return std::nullopt;
+  if (dom != nullptr && !dom->validate(*v)) return std::nullopt;
   return v;
 }
 
@@ -50,16 +60,15 @@ std::optional<PairList> decode_pairs(const Bytes& data, std::size_t dim,
   if (!r.ok() || count > n) return std::nullopt;
   PairList pairs;
   pairs.reserve(count);
-  std::set<PartyId> seen;
+  PartySet seen;
   for (std::uint32_t i = 0; i < count; ++i) {
     const PartyId party = r.u32();
-    auto coords = r.f64_vec(static_cast<std::uint32_t>(dim));
-    if (!r.ok() || party >= n || coords.size() != dim) return std::nullopt;
-    geo::Vec v(std::move(coords));
-    if (!finite_vec(v)) return std::nullopt;
-    if (dom != nullptr && !dom->validate(v)) return std::nullopt;
-    if (!seen.insert(party).second) return std::nullopt;
-    pairs.emplace_back(party, std::move(v));
+    auto v = read_vec(r, dim);
+    if (!v || party >= n) return std::nullopt;
+    if (!finite_vec(*v)) return std::nullopt;
+    if (dom != nullptr && !dom->validate(*v)) return std::nullopt;
+    if (!seen.insert(party)) return std::nullopt;
+    pairs.emplace_back(party, std::move(*v));
   }
   if (!r.at_end()) return std::nullopt;
   std::sort(pairs.begin(), pairs.end(),
@@ -67,22 +76,22 @@ std::optional<PairList> decode_pairs(const Bytes& data, std::size_t dim,
   return pairs;
 }
 
-Bytes encode_party_set(const std::set<PartyId>& parties) {
+Bytes encode_party_set(const PartySet& parties) {
   Writer w;
   w.u32(static_cast<std::uint32_t>(parties.size()));
   for (PartyId p : parties) w.u32(p);
   return w.take();
 }
 
-std::optional<std::set<PartyId>> decode_party_set(const Bytes& data, std::size_t n) {
+std::optional<PartySet> decode_party_set(const Bytes& data, std::size_t n) {
   Reader r(data);
   const std::uint32_t count = r.u32();
   if (!r.ok() || count > n) return std::nullopt;
-  std::set<PartyId> out;
+  PartySet out;
   for (std::uint32_t i = 0; i < count; ++i) {
     const PartyId p = r.u32();
     if (!r.ok() || p >= n) return std::nullopt;
-    if (!out.insert(p).second) return std::nullopt;
+    if (!out.insert(p)) return std::nullopt;
   }
   if (!r.at_end()) return std::nullopt;
   return out;

@@ -8,10 +8,10 @@
 #pragma once
 
 #include <optional>
-#include <set>
 #include <utility>
 #include <vector>
 
+#include "common/party_set.hpp"
 #include "common/serialize.hpp"
 #include "common/types.hpp"
 #include "domain/domain.hpp"
@@ -42,11 +42,11 @@ using PairList = std::vector<std::pair<PartyId, geo::Vec>>;
     const Bytes& data, std::size_t dim, std::size_t n,
     const hydra::domain::ValueDomain* dom = nullptr);
 
-[[nodiscard]] Bytes encode_party_set(const std::set<PartyId>& parties);
+/// A count followed by the ids in ascending order.
+[[nodiscard]] Bytes encode_party_set(const PartySet& parties);
 
-/// Rejects malformed bytes and party ids >= n.
-[[nodiscard]] std::optional<std::set<PartyId>> decode_party_set(const Bytes& data,
-                                                                std::size_t n);
+/// Rejects malformed bytes, party ids >= n and duplicate ids.
+[[nodiscard]] std::optional<PartySet> decode_party_set(const Bytes& data, std::size_t n);
 
 /// val(M) in party-id order.
 [[nodiscard]] std::vector<geo::Vec> values_of(const PairList& pairs);

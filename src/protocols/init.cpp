@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string_view>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -14,11 +15,13 @@
 namespace hydra::protocols {
 namespace {
 
-void note_transition(const Env& env, const char* what) {
+/// `counter` is the full counter name ("init.start", ...), whose suffix
+/// names the state.
+void note_transition(const Env& env, std::string_view counter) {
   if (!obs::enabled()) return;
-  obs::registry().counter(std::string("init.") + what).inc();
+  obs::registry().counter(counter).inc();
   if (auto* tr = obs::trace()) {
-    tr->state(env.now(), env.self(), "init", what, 0, 0);
+    tr->state(env.now(), env.self(), "init", counter.substr(sizeof("init.") - 1), 0, 0);
   }
 }
 
@@ -35,7 +38,7 @@ void InitInstance::start(Env& env, const geo::Vec& input) {
   HYDRA_ASSERT(input.dim() == params_.dim);
   started_ = true;
   tau_start_ = env.now();
-  note_transition(env, "start");
+  note_transition(env, "init.start");
 
   mux_->broadcast(env, InstanceKey{kRbcInitValue, env.self(), 0}, encode_value(input));
 
@@ -97,9 +100,7 @@ void InitInstance::step(Env& env, bool at_timer) {
   // Double-witness rule (lines 14-15): re-checked as W grows.
   for (auto it = pending_witness_sets_.begin(); it != pending_witness_sets_.end();) {
     const auto& [sender, set] = *it;
-    const bool subset =
-        std::includes(w_.begin(), w_.end(), set.begin(), set.end());
-    if (subset) {
+    if (set.is_subset_of(w_)) {
       w2_.insert(sender);
       it = pending_witness_sets_.erase(it);
     } else {
@@ -117,7 +118,7 @@ void InitInstance::step(Env& env, bool at_timer) {
   if (!sent_report_ && reached(tau_start_ + Params::kCRbc * params_.delta) &&
       m_.size() >= params_.quorum()) {
     sent_report_ = true;
-    note_transition(env, "report");
+    note_transition(env, "init.report");
     PairList snapshot;
     snapshot.reserve(m_.size());
     for (const auto& [party, value] : m_) snapshot.emplace_back(party, value);
@@ -129,7 +130,7 @@ void InitInstance::step(Env& env, bool at_timer) {
   if (!sent_witness_set_ && reached(tau_start_ + 2 * Params::kCRbc * params_.delta) &&
       w_.size() >= params_.quorum()) {
     sent_witness_set_ = true;
-    note_transition(env, "witness_set");
+    note_transition(env, "init.witness_set");
     env.broadcast(sim::Message{InstanceKey{kInitWitnessSet, 0, 0}, kDirect,
                                encode_party_set(w_)});
   }
@@ -147,7 +148,7 @@ void InitInstance::step(Env& env, bool at_timer) {
     out.iterations =
         dom.sufficient_iterations(params_.eps, dom.diameter(estimates));
     output_ = std::move(out);
-    note_transition(env, "output");
+    note_transition(env, "init.output");
     if (obs::enabled()) {
       if (auto* tr = obs::trace()) {
         tr->scalar(env.now(), env.self(), "init.T",

@@ -20,8 +20,8 @@
 #include <functional>
 #include <map>
 #include <optional>
-#include <set>
 
+#include "common/party_set.hpp"
 #include "geometry/vec.hpp"
 #include "protocols/codec.hpp"
 #include "protocols/params.hpp"
@@ -77,9 +77,9 @@ class InitInstance {
   std::map<PartyId, geo::Vec> m_;                  // M
   std::map<PartyId, PairList> pending_reports_;    // reliably delivered, unverified
   PairList ie_;                                    // I_e, sorted by party id
-  std::set<PartyId> w_;                            // W (witnesses)
-  std::map<PartyId, std::set<PartyId>> pending_witness_sets_;
-  std::set<PartyId> w2_;                           // W2 (double-witnesses)
+  PartySet w_;                                     // W (witnesses)
+  std::map<PartyId, PartySet> pending_witness_sets_;
+  PartySet w2_;                                    // W2 (double-witnesses)
   std::optional<Output> output_;
 };
 

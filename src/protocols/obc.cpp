@@ -1,5 +1,6 @@
 #include "protocols/obc.hpp"
 
+#include <string_view>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -11,11 +12,14 @@
 namespace hydra::protocols {
 namespace {
 
-void note_transition(const Env& env, std::uint32_t iteration, const char* what) {
+/// `counter` is the full counter name ("obc.start", ...), whose suffix names
+/// the state.
+void note_transition(const Env& env, std::uint32_t iteration, std::string_view counter) {
   if (!obs::enabled()) return;
-  obs::registry().counter(std::string("obc.") + what).inc();
+  obs::registry().counter(counter).inc();
   if (auto* tr = obs::trace()) {
-    tr->state(env.now(), env.self(), "obc", what, 0, iteration);
+    tr->state(env.now(), env.self(), "obc", counter.substr(sizeof("obc.") - 1), 0,
+              iteration);
   }
 }
 
@@ -26,7 +30,7 @@ void ObcInstance::start(Env& env, const geo::Vec& input) {
   HYDRA_ASSERT(input.dim() == params_.dim);
   started_ = true;
   tau_start_ = env.now();
-  note_transition(env, iteration_, "start");
+  note_transition(env, iteration_, "obc.start");
 
   mux_->broadcast(env, InstanceKey{kRbcObcValue, env.self(), iteration_},
                   encode_value(input));
@@ -94,7 +98,7 @@ void ObcInstance::step(Env& env, bool at_timer) {
   if (!sent_report_ && reached(tau_start_ + Params::kCRbc * params_.delta) &&
       m_.size() >= params_.quorum()) {
     sent_report_ = true;
-    note_transition(env, iteration_, "report");
+    note_transition(env, iteration_, "obc.report");
     env.broadcast(sim::Message{InstanceKey{kObcReport, 0, iteration_}, kDirect,
                                encode_pairs(snapshot())});
   }
@@ -103,7 +107,7 @@ void ObcInstance::step(Env& env, bool at_timer) {
   if (!output_ && reached(tau_start_ + Params::kCObc * params_.delta) &&
       witnesses_.size() >= params_.quorum()) {
     output_ = snapshot();
-    note_transition(env, iteration_, "output");
+    note_transition(env, iteration_, "obc.output");
     if (obs::enabled()) {
       if (auto* mon = obs::monitors()) {
         mon->on_obc_output(env.now(), env.self(), iteration_, *output_);

@@ -21,8 +21,8 @@
 #include <functional>
 #include <map>
 #include <optional>
-#include <set>
 
+#include "common/party_set.hpp"
 #include "geometry/vec.hpp"
 #include "protocols/codec.hpp"
 #include "protocols/params.hpp"
@@ -83,7 +83,7 @@ class ObcInstance {
 
   std::map<PartyId, geo::Vec> m_;                 // M: collected value-party pairs
   std::map<PartyId, PairList> pending_reports_;   // first report per sender
-  std::set<PartyId> witnesses_;                   // W
+  PartySet witnesses_;                            // W
   std::optional<PairList> output_;
 };
 

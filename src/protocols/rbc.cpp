@@ -1,5 +1,6 @@
 #include "protocols/rbc.hpp"
 
+#include <string_view>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -10,12 +11,14 @@
 namespace hydra::protocols {
 namespace {
 
-/// Trace/metrics hook for RBC state transitions (send/echo/ready/deliver).
-void note_transition(const Env& env, const InstanceKey& key, const char* what) {
+/// Trace/metrics hook for RBC state transitions; `counter` is the full
+/// counter name ("rbc.send", "rbc.echo", ...), whose suffix names the state.
+void note_transition(const Env& env, const InstanceKey& key, std::string_view counter) {
   if (!obs::enabled()) return;
-  obs::registry().counter(std::string("rbc.") + what).inc();
+  obs::registry().counter(counter).inc();
   if (auto* tr = obs::trace()) {
-    tr->state(env.now(), env.self(), "rbc", what, key.a, key.b);
+    tr->state(env.now(), env.self(), "rbc", counter.substr(sizeof("rbc.") - 1), key.a,
+              key.b);
   }
 }
 
@@ -23,20 +26,20 @@ void note_transition(const Env& env, const InstanceKey& key, const char* what) {
 
 void RbcInstance::broadcast(Env& env, Bytes payload) {
   HYDRA_ASSERT_MSG(key_.a == env.self(), "only the designated sender may broadcast");
-  note_transition(env, key_, "send");
+  note_transition(env, key_, "rbc.send");
   Message msg{key_, kRbcSend, std::move(payload)};
   env.broadcast(msg);
 }
 
 void RbcInstance::send_echo(Env& env, const Bytes& payload) {
   sent_echo_ = true;
-  note_transition(env, key_, "echo");
+  note_transition(env, key_, "rbc.echo");
   env.broadcast(Message{key_, kRbcEcho, payload});
 }
 
 void RbcInstance::send_ready(Env& env, const Bytes& payload) {
   sent_ready_ = true;
-  note_transition(env, key_, "ready");
+  note_transition(env, key_, "rbc.ready");
   env.broadcast(Message{key_, kRbcReady, payload});
 }
 
@@ -53,22 +56,27 @@ bool RbcInstance::on_message(Env& env, PartyId from, const Message& msg) {
       return false;
     }
     case kRbcEcho: {
+      // Delivery needs n-t >= t+1 readies, so a delivered instance has sent
+      // its own ready: later echoes and readies cannot change anything.
+      if (delivered_) return false;
       // First echo per voter is binding; equivocating echoes are dropped.
-      if (!echo_voters_.insert(from).second) return false;
-      auto& voters = echoes_[msg.payload];
-      voters.insert(from);
-      if (voters.size() >= n - t && !sent_ready_) send_ready(env, msg.payload);
+      if (!echo_voters_.insert(from)) return false;
+      if (vote(echoes_, msg.payload) >= n - t && !sent_ready_) {
+        send_ready(env, msg.payload);
+      }
       return false;
     }
     case kRbcReady: {
-      if (!ready_voters_.insert(from).second) return false;
-      auto& voters = readies_[msg.payload];
-      voters.insert(from);
-      if (voters.size() >= t + 1 && !sent_ready_) send_ready(env, msg.payload);
-      if (voters.size() >= n - t && !delivered_) {
+      if (delivered_) return false;
+      if (!ready_voters_.insert(from)) return false;
+      const std::size_t votes = vote(readies_, msg.payload);
+      if (votes >= t + 1 && !sent_ready_) send_ready(env, msg.payload);
+      if (votes >= n - t) {
         delivered_ = true;
         output_ = msg.payload;
-        note_transition(env, key_, "deliver");
+        echoes_ = {};
+        readies_ = {};
+        note_transition(env, key_, "rbc.deliver");
         if (obs::enabled()) {
           if (auto* mon = obs::monitors()) {
             mon->on_rbc_deliver(env.now(), env.self(), key_.tag, key_.a, key_.b,
@@ -82,6 +90,14 @@ bool RbcInstance::on_message(Env& env, PartyId from, const Message& msg) {
     default:
       return false;
   }
+}
+
+std::size_t RbcInstance::vote(std::vector<Tally>& tallies, const Bytes& payload) {
+  for (auto& tally : tallies) {
+    if (tally.payload == payload) return ++tally.votes;
+  }
+  tallies.push_back(Tally{payload, 1});
+  return 1;
 }
 
 void RbcMux::broadcast(Env& env, InstanceKey key, Bytes payload) {

@@ -17,10 +17,10 @@
 #pragma once
 
 #include <functional>
-#include <map>
-#include <set>
 #include <unordered_map>
+#include <vector>
 
+#include "common/party_set.hpp"
 #include "common/serialize.hpp"
 #include "common/types.hpp"
 #include "protocols/keys.hpp"
@@ -62,12 +62,21 @@ class RbcInstance {
   bool delivered_ = false;
   Bytes output_;
 
+  /// Votes for one payload. Honest runs see a single payload per instance,
+  /// so the tallies are scanned linearly.
+  struct Tally {
+    Bytes payload;
+    std::size_t votes = 0;
+  };
+  /// Records a vote for `payload`; returns its new vote count.
+  static std::size_t vote(std::vector<Tally>& tallies, const Bytes& payload);
+
   // One vote per sender: the first echo/ready a party sends is the one that
-  // counts; later equivocations are ignored.
-  std::set<PartyId> echo_voters_;
-  std::set<PartyId> ready_voters_;
-  std::map<Bytes, std::set<PartyId>> echoes_;
-  std::map<Bytes, std::set<PartyId>> readies_;
+  // counts; later equivocations are ignored, so a per-payload count suffices.
+  PartySet echo_voters_;
+  PartySet ready_voters_;
+  std::vector<Tally> echoes_;
+  std::vector<Tally> readies_;
 };
 
 /// Routes every RBC wire message of one party to the right instance.

@@ -4,6 +4,12 @@
 // master seed fully determines the run: delay draws, adversary choices and
 // event ordering are all derived from it. Ties in virtual time break by
 // submission order, which is itself deterministic.
+//
+// Events carry no closures. The heap holds plain {at, phase, seq, slot}
+// entries; `slot` indexes a slab of pending events (kind, endpoints, timer
+// or send id, message) whose slots are recycled through a free list, so
+// a message or timer costs no allocation beyond its payload. Only the
+// schedule() test hook stores a std::function.
 #pragma once
 
 #include <cstdint>
@@ -86,7 +92,38 @@ class Simulation {
   /// tau_start + c * Delta observes every message sent c rounds earlier.
   enum class Phase : std::uint8_t { kMessage = 0, kTimer = 1 };
 
-  void schedule_phase(Time at, Phase phase, std::function<void()> fn);
+  /// What a pending event does when it fires.
+  enum class EventKind : std::uint8_t {
+    kStart,          ///< IParty::start of `to`
+    kMessage,        ///< lean delivery of `msg` from `from` to `to`
+    kTracedMessage,  ///< delivery through net::DeliveryGate, cause `id`
+    kTimer,          ///< IParty::on_timer of `to` with timer id `id`
+    kCallback,       ///< the schedule() test hook's `fn`
+  };
+  struct PendingEvent {
+    EventKind kind = EventKind::kCallback;
+    PartyId from = 0;
+    PartyId to = 0;
+    std::uint64_t id = 0;  ///< timer id (kTimer) or send id (kTracedMessage)
+    Message msg;
+    std::function<void()> fn;
+  };
+
+  /// Queues `ev` at (at, phase) with the next sequence number.
+  void push(Time at, Phase phase, PendingEvent ev);
+  /// Runs the event in `slot`, after moving it out and recycling the slot
+  /// (a handler may schedule into it).
+  void fire(std::uint32_t slot);
+  /// A kTracedMessage delivery through net::DeliveryGate. Out of line so the
+  /// trace and monitor code does not bloat fire() on the lean path.
+#if defined(__GNUC__) || defined(__clang__)
+  __attribute__((noinline, cold))
+#endif
+  void fire_traced(const PendingEvent& ev);
+
+  /// Drain loop for unobserved runs. Its own function so the queue's pop()
+  /// inlines into it as it does in the overhead bench's replica.
+  void drain();
 
   /// Drain loop for observed runs (monitors and/or profiler active). Kept
   /// out of run() — and out of the hot text sections — so the lean loop the
@@ -102,33 +139,32 @@ class Simulation {
   /// surviving copies. The simulator itself contains no egress logic.
   void deliver(PartyId from, PartyId to, Message msg);
 
-  /// Queues one traced delivery (net::DeliveryGate: deliver event + monitor
-  /// dispatch bracket). Used by the obs-enabled path; the fault injector may
-  /// queue the same send twice (duplication), both copies carrying the same
-  /// `send_id`.
-  void schedule_traced_delivery(Time at, PartyId from, PartyId to, Message msg,
-                                std::uint64_t send_id);
-
   SimConfig config_;
   std::unique_ptr<DelayModel> delay_model_;
   Rng rng_;
   faults::FaultInjector* injector_ = nullptr;
+  /// Set by run(): no fault injector and observability off, both fixed for
+  /// the run, so deliver() skips the rest of the egress pipeline after its
+  /// wire accounting (the disabled path bench_obs_overhead gates).
+  bool lean_ = false;
 
-  struct Event {
+  struct Entry {
     Time at;
     Phase phase;
     std::uint64_t seq;
-    std::function<void()> fn;
+    std::uint32_t slot;  ///< index into slab_
   };
-  struct EventOrder {
-    bool operator()(const Event& a, const Event& b) const noexcept {
+  struct EntryOrder {
+    bool operator()(const Entry& a, const Entry& b) const noexcept {
       if (a.at != b.at) return a.at > b.at;
       if (a.phase != b.phase) return a.phase > b.phase;
       return a.seq > b.seq;
     }
   };
-  std::priority_queue<Event, std::vector<Event>, EventOrder> queue_;
+  std::priority_queue<Entry, std::vector<Entry>, EntryOrder> queue_;
   std::uint64_t next_seq_ = 0;
+  std::vector<PendingEvent> slab_;
+  std::vector<std::uint32_t> free_slots_;
   /// The shared send-side path (plain counters — single-threaded). Lazy id
   /// mode: trace send ids are allocated only while obs is enabled, so the
   /// disabled path is untouched and same-seed traces stay identical.

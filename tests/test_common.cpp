@@ -1,6 +1,6 @@
 // Unit tests for the common substrate: RNG determinism and distribution
 // sanity, combinatorial enumeration, binary serialization (including
-// Byzantine-malformed payloads), and instance-key hashing.
+// Byzantine-malformed payloads), instance-key hashing and PartySet.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,9 +9,11 @@
 #include <vector>
 
 #include "common/combinatorics.hpp"
+#include "common/party_set.hpp"
 #include "common/rng.hpp"
 #include "common/serialize.hpp"
 #include "common/types.hpp"
+#include "protocols/codec.hpp"
 
 namespace hydra {
 namespace {
@@ -335,6 +337,96 @@ TEST(InstanceKey, HashSpreads) {
     }
   }
   EXPECT_EQ(hashes.size(), 1000u);  // no collisions on this dense grid
+}
+
+// ---------------------------------------------------------------- PartySet
+
+TEST(PartySet, InsertReportsNewIdsAndCountsOnce) {
+  PartySet s;
+  EXPECT_TRUE(s.empty());
+  EXPECT_TRUE(s.insert(3));
+  EXPECT_TRUE(s.insert(0));
+  EXPECT_FALSE(s.insert(3));  // duplicate
+  EXPECT_EQ(s.size(), 2u);
+  EXPECT_TRUE(s.contains(0));
+  EXPECT_TRUE(s.contains(3));
+  EXPECT_FALSE(s.contains(1));
+  EXPECT_FALSE(s.contains(1000));  // beyond any stored word
+}
+
+TEST(PartySet, IdsAcrossTheInlineWordBoundary) {
+  // 63 is the last inline id; 64, 127 and 200 live in heap words.
+  PartySet s;
+  for (const PartyId id : {200u, 64u, 63u, 127u}) EXPECT_TRUE(s.insert(id));
+  for (const PartyId id : {200u, 64u, 63u, 127u}) EXPECT_FALSE(s.insert(id));
+  EXPECT_EQ(s.size(), 4u);
+  for (const PartyId id : {63u, 64u, 127u, 200u}) EXPECT_TRUE(s.contains(id));
+  for (const PartyId id : {0u, 62u, 65u, 126u, 128u, 199u, 201u}) {
+    EXPECT_FALSE(s.contains(id));
+  }
+  EXPECT_EQ(std::vector<PartyId>(s.begin(), s.end()),
+            (std::vector<PartyId>{63, 64, 127, 200}));
+}
+
+TEST(PartySet, IteratesAscendingLikeASortedSet) {
+  Rng rng(17);
+  for (int trial = 0; trial < 50; ++trial) {
+    PartySet dense;
+    std::set<PartyId> sorted;
+    for (int i = 0; i < 40; ++i) {
+      const auto id = static_cast<PartyId>(rng.next_below(300));
+      EXPECT_EQ(dense.insert(id), sorted.insert(id).second);
+    }
+    EXPECT_EQ(dense.size(), sorted.size());
+    EXPECT_EQ(std::vector<PartyId>(dense.begin(), dense.end()),
+              std::vector<PartyId>(sorted.begin(), sorted.end()));
+  }
+  const PartySet none;
+  EXPECT_EQ(none.begin(), none.end());
+}
+
+TEST(PartySet, SubsetAndEquality) {
+  const PartySet small{1, 5, 70};
+  const PartySet big{0, 1, 5, 70, 130};
+  EXPECT_TRUE(small.is_subset_of(big));
+  EXPECT_FALSE(big.is_subset_of(small));
+  EXPECT_TRUE(PartySet{}.is_subset_of(small));
+  EXPECT_TRUE(small.is_subset_of(small));
+  // A member in a heap word the other set never allocated.
+  EXPECT_FALSE((PartySet{1, 130}).is_subset_of(PartySet{1, 5}));
+  EXPECT_FALSE((PartySet{1, 6}).is_subset_of(PartySet{1, 5, 70}));
+  // Equality ignores how many heap words each side has allocated.
+  PartySet grown{2};
+  grown.insert(190);
+  EXPECT_NE(grown, PartySet{2});
+  EXPECT_EQ(PartySet({2, 190}), grown);
+}
+
+TEST(PartySet, CodecBytesMatchTheSortedSetEncoding) {
+  // The wire format predates PartySet: a u32 count, then the ids ascending.
+  for (const std::set<PartyId>& ids :
+       {std::set<PartyId>{}, std::set<PartyId>{4, 0, 2},
+        std::set<PartyId>{63, 64, 127, 200}}) {
+    Writer w;
+    w.u32(static_cast<std::uint32_t>(ids.size()));
+    for (const PartyId p : ids) w.u32(p);
+    const PartySet dense(ids);
+    const Bytes encoded = protocols::encode_party_set(dense);
+    EXPECT_EQ(encoded, w.data());
+    const auto decoded = protocols::decode_party_set(encoded, 256);
+    ASSERT_TRUE(decoded.has_value());
+    EXPECT_EQ(*decoded, dense);
+    EXPECT_EQ(protocols::encode_party_set(*decoded), encoded);
+  }
+  // Duplicates and out-of-range ids are still rejected.
+  Writer dup;
+  dup.u32(2);
+  dup.u32(7);
+  dup.u32(7);
+  EXPECT_FALSE(protocols::decode_party_set(dup.data(), 16).has_value());
+  EXPECT_FALSE(protocols::decode_party_set(
+                   protocols::encode_party_set(PartySet{3, 16}), 16)
+                   .has_value());
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "geometry/convex.hpp"
@@ -56,6 +57,78 @@ TEST(Vec, LexicographicOrderTotalOnRD) {
 }
 
 // ----------------------------------------------------------------- LP
+
+/// Vec value semantics at the edge of inline storage (D = 4) and just past
+/// it (D = 5, heap storage).
+class VecStorage : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(VecStorage, CopyMoveCompareAndArithmetic) {
+  const std::size_t dim = GetParam();
+  Vec a(dim);
+  Vec b(dim);
+  for (std::size_t i = 0; i < dim; ++i) {
+    a[i] = 1.0 + static_cast<double>(i);
+    b[i] = -2.0 * static_cast<double>(i);
+  }
+  EXPECT_EQ(a.dim(), dim);
+  ASSERT_EQ(a.coords().size(), dim);
+  EXPECT_EQ(a.coords()[dim - 1], static_cast<double>(dim));
+
+  // Copies are deep: mutating one side leaves the other untouched.
+  Vec copy = a;
+  EXPECT_EQ(copy, a);
+  copy[0] = 99.0;
+  EXPECT_NE(copy, a);
+  EXPECT_EQ(a[0], 1.0);
+  Vec assigned(2, 7.0);  // re-assigned across storage kinds
+  assigned = a;
+  EXPECT_EQ(assigned, a);
+  assigned = Vec(1, 3.0);
+  EXPECT_EQ(assigned, (Vec{3.0}));
+  assigned = a;
+  Vec& self = assigned;
+  assigned = self;
+  EXPECT_EQ(assigned, a);
+
+  // Moves carry the coordinates; the source stays assignable.
+  Vec moved = std::move(copy);
+  EXPECT_EQ(moved[0], 99.0);
+  EXPECT_EQ(moved.dim(), dim);
+  copy = b;
+  EXPECT_EQ(copy, b);
+  Vec target(dim + 3, 1.0);
+  target = std::move(moved);
+  EXPECT_EQ(target[0], 99.0);
+  EXPECT_EQ(target.dim(), dim);
+  std::vector<Vec> grown;
+  for (int i = 0; i < 20; ++i) grown.push_back(a);  // relocations move
+  for (const auto& v : grown) EXPECT_EQ(v, a);
+
+  // Comparison: lexicographic, then by dimension.
+  EXPECT_LT(b, a);
+  Vec last_bigger = a;
+  last_bigger[dim - 1] += 1.0;
+  EXPECT_LT(a, last_bigger);
+  EXPECT_LT(Vec(dim - 1, 1.0), Vec(dim, 1.0));
+  EXPECT_NE(Vec(dim - 1, 1.0), Vec(dim, 1.0));
+
+  // Arithmetic.
+  const Vec sum = a + b;
+  const Vec diff = a - b;
+  const Vec scaled = 0.5 * a;
+  for (std::size_t i = 0; i < dim; ++i) {
+    EXPECT_EQ(sum[i], a[i] + b[i]);
+    EXPECT_EQ(diff[i], a[i] - b[i]);
+    EXPECT_EQ(scaled[i], a[i] * 0.5);
+  }
+  EXPECT_EQ(midpoint(a, a), a);
+  EXPECT_DOUBLE_EQ(distance(a, a + Vec(dim, 0.0)), 0.0);
+  double expect_dot = 0.0;
+  for (std::size_t i = 0; i < dim; ++i) expect_dot += a[i] * b[i];
+  EXPECT_DOUBLE_EQ(dot(a, b), expect_dot);
+}
+
+INSTANTIATE_TEST_SUITE_P(InlineAndHeap, VecStorage, ::testing::Values(4u, 5u));
 
 TEST(Lp, SimpleOptimum) {
   // min -x1 - 2 x2  s.t.  x1 + x2 + s = 4, x2 + s2 = 3  (i.e. x1+x2<=4, x2<=3)

@@ -1,10 +1,11 @@
 // Tests for Bracha reliable broadcast (ΠrBC): validity, consistency, the
-// timing constants of Theorem 4.2, and resistance to equivocating senders
-// and forged quorums.
+// timing constants of Theorem 4.2, resistance to equivocating senders and
+// forged quorums, and the per-instance vote tallies.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <set>
+#include <vector>
 
 #include "protocol_test_util.hpp"
 
@@ -229,6 +230,88 @@ TEST(Rbc, DistinctInstancesDoNotInterfere) {
     for (const auto& d : p->deliveries) {
       EXPECT_EQ(d.payload, Bytes(4, d.key.b == 1 ? 0xA1 : 0xB2));
     }
+  }
+}
+
+/// An Env that only records what an RbcInstance broadcasts.
+class RecordingEnv : public sim::Env {
+ public:
+  explicit RecordingEnv(std::size_t n) : n_(n) {}
+  void send(PartyId, sim::Message msg) override { sent.push_back(std::move(msg)); }
+  void broadcast(const sim::Message& msg) override { sent.push_back(msg); }
+  void set_timer(Time, std::uint64_t) override {}
+  [[nodiscard]] Time now() const override { return 0; }
+  [[nodiscard]] PartyId self() const override { return 0; }
+  [[nodiscard]] std::size_t n() const override { return n_; }
+
+  [[nodiscard]] std::size_t count(std::uint8_t kind) const {
+    std::size_t c = 0;
+    for (const auto& m : sent) c += m.kind == kind ? 1 : 0;
+    return c;
+  }
+
+  std::vector<sim::Message> sent;
+
+ private:
+  std::size_t n_;
+};
+
+TEST(Rbc, VotersSecondDifferentEchoIsIgnored) {
+  // n = 4, t = 1: a ready needs n - t = 3 echoes for one payload.
+  const auto params = make_params(4, 1);
+  const InstanceKey key{kRbcInitValue, 0, 0};
+  protocols::RbcInstance inst(params, key);
+  RecordingEnv env(4);
+  const auto echo = [&](PartyId from, std::uint8_t fill) {
+    inst.on_message(env, from, sim::Message{key, kRbcEcho, payload_of(fill)});
+  };
+  echo(1, 0xA);
+  echo(1, 0xB);  // party 1 already voted for 0xA: ignored
+  echo(2, 0xB);
+  echo(3, 0xB);
+  EXPECT_EQ(env.count(kRbcReady), 0u);  // 0xB has 2 binding votes, not 3
+  echo(0, 0xB);
+  ASSERT_EQ(env.count(kRbcReady), 1u);
+  EXPECT_EQ(env.sent.back().payload, payload_of(0xB));
+}
+
+TEST(Rbc, EchoQuorumSplitAcrossPayloadsSendsNoReady) {
+  // n = 7, t = 2: six echoes (>= n - t = 5) split 3/3 over two payloads.
+  const auto params = make_params(7, 2);
+  const InstanceKey key{kRbcInitValue, 0, 0};
+  protocols::RbcInstance inst(params, key);
+  RecordingEnv env(7);
+  for (PartyId from = 0; from < 6; ++from) {
+    inst.on_message(env, from,
+                    sim::Message{key, kRbcEcho, payload_of(from % 2 == 0 ? 0xA : 0xB)});
+  }
+  EXPECT_EQ(env.count(kRbcReady), 0u);
+  EXPECT_FALSE(inst.delivered());
+  // The same split over readies: t + 1 = 3 readies for 0xA amplify, but no
+  // payload reaches the n - t = 5 needed to deliver.
+  for (PartyId from = 0; from < 6; ++from) {
+    inst.on_message(env, from,
+                    sim::Message{key, kRbcReady, payload_of(from % 2 == 0 ? 0xA : 0xB)});
+  }
+  ASSERT_EQ(env.count(kRbcReady), 1u);
+  EXPECT_EQ(env.sent.back().payload, payload_of(0xA));
+  EXPECT_FALSE(inst.delivered());
+}
+
+TEST(Rbc, SeventyPartiesAllDeliver) {
+  // n = 70 puts voter ids 64..69 (and the sender) past the first 64-bit word
+  // of every tally.
+  const auto params = make_params(70, 23);
+  RbcFixture f(params, 1, std::make_unique<sim::UniformDelay>(1, params.delta));
+  for (std::size_t i = 0; i < 70; ++i) f.add_honest(params);
+  f.parties[66]->broadcast_payload = payload_of(0x70);
+  const auto stats = f.sim.run();
+  EXPECT_FALSE(stats.hit_limit);
+  for (auto* p : f.parties) {
+    ASSERT_EQ(p->deliveries.size(), 1u);
+    EXPECT_EQ(p->deliveries[0].key.a, 66u);
+    EXPECT_EQ(p->deliveries[0].payload, payload_of(0x70));
+    EXPECT_LE(p->deliveries[0].at, 3 * params.delta);
   }
 }
 

@@ -34,12 +34,12 @@ std::vector<Vec> random_points(Rng& rng, std::size_t count, std::size_t dim,
 std::vector<std::vector<Vec>> restriction_hulls(std::span<const Vec> values,
                                                 std::size_t t) {
   std::vector<std::vector<Vec>> hulls;
+  std::vector<std::size_t> kept;
   for_each_combination(values.size(), t, [&](const std::vector<std::size_t>& removed) {
-    const auto kept = complement_indices(values.size(), removed);
-    std::vector<Vec> h;
+    complement_indices(values.size(), removed, kept);
+    auto& h = hulls.emplace_back();
     h.reserve(kept.size());
     for (auto i : kept) h.push_back(values[i]);
-    hulls.push_back(std::move(h));
   });
   return hulls;
 }

@@ -1,11 +1,14 @@
 // Tests for the discrete-event simulator: event ordering, timer semantics,
-// delay models, broadcast accounting, and end-to-end determinism.
+// delay models, broadcast accounting, end-to-end determinism, and the
+// recycling of event slots.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "faults/faults.hpp"
 #include "sim/delay.hpp"
 #include "sim/env.hpp"
 #include "sim/message.hpp"
@@ -241,6 +244,106 @@ TEST(Simulation, ScheduleHookRunsAtRequestedTime) {
   sim.schedule(333, [&] { fired_at = sim.now(); });
   sim.run();
   EXPECT_EQ(fired_at, 333);
+}
+
+TEST(Simulation, HandlerMayScheduleIntoItsOwnRecycledSlot) {
+  // A delivery's slot is free again while its handler runs: the handler's
+  // first send reuses it and later sends grow (and move) the slab. The
+  // message being handled must stay intact throughout.
+  Simulation sim({.n = 2, .delta = 10, .seed = 1}, std::make_unique<FixedDelay>(10));
+  auto a = std::make_unique<Recorder>();
+  auto b = std::make_unique<Recorder>();
+  Recorder* b_raw = b.get();
+  a->on_start = [](Env& env) { env.send(1, make_msg(7, Bytes(32, 0xAB))); };
+  bool intact = true;
+  std::vector<Bytes> echoed;
+  b->on_msg = [&](Env& env, PartyId, const Message& msg) {
+    if (msg.key.tag != 7) {
+      echoed.push_back(msg.payload);
+      return;
+    }
+    const Bytes before = msg.payload;
+    for (std::uint8_t i = 0; i < 64; ++i) env.send(1, make_msg(8, Bytes(4, i)));
+    env.set_timer(env.now() + 5, 9);
+    intact = intact && msg.payload == before && msg.key.tag == 7;
+  };
+  sim.add_party(std::move(a));
+  sim.add_party(std::move(b));
+  const auto stats = sim.run();
+  EXPECT_TRUE(intact);
+  ASSERT_EQ(echoed.size(), 64u);
+  for (std::uint8_t i = 0; i < 64; ++i) EXPECT_EQ(echoed[i], Bytes(4, i));
+  EXPECT_EQ(b_raw->log.back().tag, 9u);  // the timer, after the self-sends
+  EXPECT_EQ(stats.events, 2u + 1u + 64u + 1u);
+
+  // The schedule() hook recycles slots the same way.
+  Simulation hook({.n = 1, .delta = 10, .seed = 1}, std::make_unique<FixedDelay>(10));
+  hook.add_party(std::make_unique<Recorder>());
+  std::vector<Time> fired;
+  std::function<void()> chain = [&] {
+    fired.push_back(hook.now());
+    if (fired.size() < 5) hook.schedule(hook.now() + 10, chain);
+  };
+  hook.schedule(10, chain);
+  hook.run();
+  EXPECT_EQ(fired, (std::vector<Time>{10, 20, 30, 40, 50}));
+}
+
+TEST(Simulation, DuplicatedMessagesKeepSubmissionOrder) {
+  // dup(p=1) under synchrony with a fixed delay of Delta clamps every copy
+  // to the primary's tick, so only sequence numbers order them: each
+  // primary is followed by its own copy before the next send.
+  auto plan = faults::parse_fault_plan("dup(p=1)");
+  ASSERT_TRUE(plan.has_value());
+  faults::FaultInjector injector(*plan, {.seed = 3, .synchronous = true, .delta = 100});
+  Simulation sim({.n = 2, .delta = 100, .seed = 1}, std::make_unique<FixedDelay>(100));
+  sim.set_fault_injector(&injector);
+  auto a = std::make_unique<Recorder>();
+  auto b = std::make_unique<Recorder>();
+  Recorder* b_raw = b.get();
+  a->on_start = [](Env& env) {
+    for (std::uint32_t tag = 1; tag <= 3; ++tag) {
+      env.send(1, make_msg(tag, Bytes(8, static_cast<std::uint8_t>(tag))));
+    }
+  };
+  std::vector<Bytes> payloads;
+  b->on_msg = [&](Env&, PartyId, const Message& msg) { payloads.push_back(msg.payload); };
+  sim.add_party(std::move(a));
+  sim.add_party(std::move(b));
+  sim.run();
+  ASSERT_EQ(b_raw->log.size(), 7u);  // start + 3 x 2 copies
+  const std::vector<std::uint64_t> expected{1, 1, 2, 2, 3, 3};
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(b_raw->log[i + 1].at, 100);
+    EXPECT_EQ(b_raw->log[i + 1].from, 0u);
+    EXPECT_EQ(b_raw->log[i + 1].tag, expected[i]);
+    EXPECT_EQ(payloads[i], Bytes(8, static_cast<std::uint8_t>(expected[i])));
+  }
+}
+
+TEST(Simulation, SameTickMessagesRunBeforeTimers) {
+  // Party 0 arms its timer (and the hook its callback) before party 1's
+  // message to it is even sent, so both have lower sequence numbers; the
+  // message phase still runs first at tick 100.
+  Simulation sim({.n = 2, .delta = 100, .seed = 1}, std::make_unique<FixedDelay>(100));
+  auto a = std::make_unique<Recorder>();
+  auto b = std::make_unique<Recorder>();
+  Recorder* a_raw = a.get();
+  a->on_start = [](Env& env) { env.set_timer(100, 5); };
+  b->on_start = [](Env& env) { env.send(0, make_msg(6)); };
+  std::size_t log_at_hook = 0;
+  sim.schedule(100, [&] { log_at_hook = a_raw->log.size(); });
+  sim.add_party(std::move(a));
+  sim.add_party(std::move(b));
+  sim.run();
+  ASSERT_EQ(a_raw->log.size(), 3u);
+  EXPECT_EQ(a_raw->log[1].at, 100);
+  EXPECT_EQ(a_raw->log[1].from, 1u);  // the message ...
+  EXPECT_EQ(a_raw->log[1].tag, 6u);
+  EXPECT_EQ(a_raw->log[2].at, 100);
+  EXPECT_EQ(a_raw->log[2].from, kInvalidParty);  // ... then the timer
+  EXPECT_EQ(a_raw->log[2].tag, 5u);
+  EXPECT_EQ(log_at_hook, 2u);  // the hook ran after the message, before the timer
 }
 
 }  // namespace
