@@ -9,25 +9,6 @@
 namespace hydra::geo {
 namespace {
 
-double cross(const Vec& o, const Vec& a, const Vec& b) noexcept {
-  return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0]);
-}
-
-/// True when the turn o->a->b is clockwise or collinear, with a tolerance
-/// scaled to the local operand magnitudes (the rounding error of the cross
-/// product is a few ulps of |a-o|*|b-o|). A global scale would be wrong in
-/// both directions: one far-away outlier (coordinates ~1e6) must not blur
-/// orientation among points of size ~1, and a sliver triangle with two huge
-/// vertices must not lose its third, genuinely non-collinear, small vertex
-/// (Hausdorff error of dropping it can dwarf any intersection tolerance).
-bool turns_right_or_collinear(const Vec& o, const Vec& a, const Vec& b,
-                              double tol) noexcept {
-  const double la = std::max(std::abs(a[0] - o[0]), std::abs(a[1] - o[1]));
-  const double lb = std::max(std::abs(b[0] - o[0]), std::abs(b[1] - o[1]));
-  const double eps = tol * std::max(la * lb, 1e-300);
-  return cross(o, a, b) <= eps;
-}
-
 double max_abs_coord(std::span<const Vec> points) noexcept {
   double s = 1.0;
   for (const auto& p : points) {
@@ -85,13 +66,12 @@ ConvexPolygon2D ConvexPolygon2D::hull_of(std::span<const Vec> points, double tol
   std::vector<Vec> hull(2 * pts.size());
   std::size_t k = 0;
   for (const auto& p : pts) {  // lower chain
-    while (k >= 2 && turns_right_or_collinear(hull[k - 2], hull[k - 1], p, tol)) --k;
+    while (k >= 2 && orientation(hull[k - 2], hull[k - 1], p, tol) <= 0) --k;
     hull[k++] = p;
   }
   const std::size_t lower_size = k + 1;
   for (auto it = pts.rbegin() + 1; it != pts.rend(); ++it) {  // upper chain
-    while (k >= lower_size &&
-           turns_right_or_collinear(hull[k - 2], hull[k - 1], *it, tol)) {
+    while (k >= lower_size && orientation(hull[k - 2], hull[k - 1], *it, tol) <= 0) {
       --k;
     }
     hull[k++] = *it;

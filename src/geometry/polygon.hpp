@@ -10,6 +10,8 @@
 // of the other region (Sutherland-Hodgman restricted to convex subjects).
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <optional>
 #include <span>
 #include <utility>
@@ -18,6 +20,30 @@
 #include "geometry/vec.hpp"
 
 namespace hydra::geo {
+
+/// Side of b relative to the directed line o->a: +1 strictly left
+/// (counter-clockwise turn), -1 strictly right, 0 collinear. The collinear
+/// band is `tol` relative to the local operand magnitudes (the rounding error
+/// of the cross product is a few ulps of |a-o|*|b-o|). A global scale would
+/// be wrong in both directions: one far-away outlier (coordinates ~1e6) must
+/// not blur orientation among points of size ~1, and a sliver triangle with
+/// two huge vertices must not lose its third, genuinely non-collinear, small
+/// vertex (Hausdorff error of dropping it can dwarf any intersection
+/// tolerance). The default is ~100 ulps above the cross-product rounding
+/// error.
+[[nodiscard]] inline int orientation(const Vec& o, const Vec& a, const Vec& b,
+                                     double tol = 1e-13) noexcept {
+  const double ax = a[0] - o[0];
+  const double ay = a[1] - o[1];
+  const double bx = b[0] - o[0];
+  const double by = b[1] - o[1];
+  const double la = std::max(std::abs(ax), std::abs(ay));
+  const double lb = std::max(std::abs(bx), std::abs(by));
+  const double eps = tol * std::max(la * lb, 1e-300);
+  const double cross = ax * by - ay * bx;
+  if (cross <= eps) return cross < -eps ? -1 : 0;
+  return 1;
+}
 
 /// The half-plane { x : nx*x + ny*y <= c }.
 struct HalfPlane {
@@ -33,8 +59,7 @@ class ConvexPolygon2D {
 
   /// Convex hull of arbitrary 2-D points (Andrew's monotone chain).
   /// Collinear interior points are dropped; coincident points collapse.
-  /// `tol` is relative to the local operand magnitudes of each orientation
-  /// test; the default is ~100 ulps above the cross-product rounding error.
+  /// `tol` is the collinear band of each orientation() test.
   [[nodiscard]] static ConvexPolygon2D hull_of(std::span<const Vec> points,
                                                double tol = 1e-13);
 

@@ -1,6 +1,7 @@
 #include "geometry/safe_area.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/assert.hpp"
@@ -13,9 +14,9 @@
 namespace hydra::geo {
 namespace {
 
-// Enumerating C(m, t) restrictions is exponential in t; the protocol only
-// ever needs t <= ts < m <= n, and experiments keep n modest, but we fail
-// loudly rather than hang if a caller goes overboard.
+// Enumerating C(m, t) restrictions (the D >= 3 kernels) is exponential in t;
+// the protocol only ever needs t <= ts < m <= n, and experiments keep n
+// modest, but we fail loudly rather than hang if a caller goes overboard.
 constexpr std::uint64_t kMaxRestrictions = 2'000'000;
 
 /// values[kept[0]], values[kept[1]], ... into `out` (cleared first).
@@ -63,6 +64,68 @@ std::vector<Vec> dedupe_points(std::vector<Vec> points, double tol) {
     if (!dup) out.push_back(std::move(p));
   }
   return out;
+}
+
+/// The D = 2 kernel. A point lies in every (m - t)-subset hull exactly when
+/// every closed half-plane containing it holds >= t + 1 values, so safe_t(M)
+/// is the Tukey-depth region of depth >= t + 1 [Rousseeuw-Ruts 96]. Its
+/// support in direction u is the (m - t)-th smallest projection u.v, whose
+/// owner changes only across a line through two values that has <= t values
+/// strictly beyond it and >= t + 1 on or beyond it. Each such line bounds a
+/// closed half-plane holding >= m - t values, so clipping by all of them,
+/// after the axis order-statistic box (valid for the same reason, and the cap
+/// of the all-collinear case, whose pair lines leave an unbounded strip),
+/// yields the region in O(m^3) orientation tests.
+ConvexPolygon2D depth_region_2d(std::span<const Vec> values, std::size_t t,
+                                double clip_tol) {
+  const std::size_t m = values.size();
+  std::vector<double> xs;
+  std::vector<double> ys;
+  xs.reserve(m);
+  ys.reserve(m);
+  for (const auto& v : values) {
+    xs.push_back(v[0]);
+    ys.push_back(v[1]);
+  }
+  std::sort(xs.begin(), xs.end());
+  std::sort(ys.begin(), ys.end());
+  const double x_lo = xs[t];
+  const double x_hi = xs[m - 1 - t];
+  const double y_lo = ys[t];
+  const double y_hi = ys[m - 1 - t];
+  if (x_lo > x_hi || y_lo > y_hi) return {};
+  const std::array<Vec, 4> box{Vec{x_lo, y_lo}, Vec{x_hi, y_lo}, Vec{x_hi, y_hi},
+                               Vec{x_lo, y_hi}};
+  auto region = ConvexPolygon2D::hull_of(box);
+
+  for (std::size_t i = 0; i < m; ++i) {
+    const Vec& a = values[i];
+    for (std::size_t j = i + 1; j < m; ++j) {
+      const Vec& b = values[j];
+      if (a == b) continue;
+      std::size_t left = 0;
+      std::size_t right = 0;
+      for (const auto& v : values) {
+        const int side = orientation(a, b, v);
+        left += side > 0;
+        right += side < 0;
+      }
+      const std::size_t on = m - left - right;  // includes a and b
+      const double ex = b[0] - a[0];
+      const double ey = b[1] - a[1];
+      const double len = std::hypot(ex, ey);
+      // Clips to { x : n.x <= n.a } for the unit normal n; false once empty.
+      const auto cut = [&](double nx, double ny) {
+        region = region.clip({nx, ny, nx * a[0] + ny * a[1]}, clip_tol);
+        return !region.empty();
+      };
+      // The closed side right of a->b holds m - left >= m - t values.
+      if (left <= t && left + on > t && !cut(-ey / len, ex / len)) return {};
+      if (right <= t && right + on > t && !cut(ey / len, -ex / len)) return {};
+    }
+  }
+  // Canonicalize: clipping noise can leave near-collinear vertices.
+  return ConvexPolygon2D::hull_of(region.vertices());
 }
 
 }  // namespace
@@ -120,35 +183,17 @@ SafeArea SafeArea::compute(std::span<const Vec> values, std::size_t t,
     return sa;
   }
 
-  // The D >= 2 kernels enumerate C(m, t) restrictions; the D = 1 closed form
-  // above does not, so the guard only applies here.
-  HYDRA_ASSERT_MSG(binomial(m, t) <= kMaxRestrictions,
-                   "safe-area restriction count too large to enumerate");
-
   if (dim == 2) {
-    ConvexPolygon2D region;
-    bool first = true;
-    bool is_empty = false;
-    std::vector<std::size_t> kept;
-    std::vector<Vec> pts;  // reused across all C(m, t) restrictions
-    for_each_combination(m, t, [&](const std::vector<std::size_t>& removed) {
-      if (is_empty) return;
-      complement_indices(m, removed, kept);
-      subset_values(values, kept, pts);
-      const auto hull = ConvexPolygon2D::hull_of(pts);
-      if (first) {
-        region = hull;
-        first = false;
-      } else {
-        region = region.intersect(hull, opts.clip_tol);
-      }
-      if (region.empty()) is_empty = true;
-    });
-    sa.polygon_ = std::move(region);
+    sa.polygon_ = depth_region_2d(values, t, opts.clip_tol);
     sa.empty_ = sa.polygon_.empty();
     sa.extreme_ = sa.polygon_.vertices();
     return sa;
   }
+
+  // The D >= 3 kernels enumerate C(m, t) restrictions; the D <= 2 kernels
+  // above do not, so the guard only applies here.
+  HYDRA_ASSERT_MSG(binomial(m, t) <= kMaxRestrictions,
+                   "safe-area restriction count too large to enumerate");
 
   // D >= 3: retain the restriction point sets (membership tests run one LP
   // per hull against them in any case).

@@ -8,7 +8,11 @@
 //
 // Kernels (DESIGN.md decision 3):
 //   D = 1  exact closed form: [x_(t+1), x_(m-t)] on the sorted values.
-//   D = 2  exact polygon clipping over all C(m, t) restrictions.
+//   D = 2  exact depth region: a point is in every (m - t)-subset hull iff
+//          every closed half-plane containing it holds >= t + 1 values, so
+//          safe_t(M) is the Tukey-depth region of depth >= t + 1, cut out of
+//          the axis order-statistic box by the O(m^2) lines through two
+//          values with <= t values strictly beyond them, in one pass.
 //   D = 3  exact facet enumeration (quickhull) + half-space vertex
 //          enumeration when the configuration permits (full-dimensional
 //          hulls, bounded plane count); otherwise the D >= 4 kernel.
@@ -51,7 +55,7 @@ struct SafeAreaOptions {
 class SafeArea {
  public:
   /// Computes safe_t(values). `values` are the val(M) multiset in a fixed
-  /// order (multiplicity preserved; combinations are taken over positions).
+  /// order (multiplicity preserved; restrictions are taken over positions).
   [[nodiscard]] static SafeArea compute(std::span<const Vec> values, std::size_t t,
                                         const SafeAreaOptions& opts = {});
 
