@@ -49,9 +49,8 @@ std::vector<std::vector<Vec>> restriction_hulls(std::span<const Vec> values,
 }
 
 /// The D = 2 safe area straight from Definition 5.1: the hull of every
-/// (m - t)-subset, clipped together. This C(m, t) enumeration was the
-/// production kernel before the depth-region pass and is kept here as its
-/// differential oracle.
+/// (m - t)-subset, clipped together. The differential oracle of the
+/// depth-region kernel in SafeArea::compute.
 ConvexPolygon2D enumerate_safe_area_2d(std::span<const Vec> values, std::size_t t,
                                        double clip_tol = 1e-12) {
   ConvexPolygon2D region;
@@ -205,13 +204,7 @@ TEST(SafeArea, Exact2DAgreesWithLpKernelOnMembership) {
       // Probe points: LP membership must match polygon membership.
       for (int probe = 0; probe < 10; ++probe) {
         Vec q{rng.next_double(-12, 12), rng.next_double(-12, 12)};
-        bool lp_in = true;
-        for (const auto& h : hulls) {
-          if (!in_convex_hull(h, q, 1e-7)) {
-            lp_in = false;
-            break;
-          }
-        }
+        const bool lp_in = in_every_restriction_hull(hulls, q, 1e-7);
         // Skip near-boundary probes where tolerance conventions differ.
         const auto mid = sa.midpoint_rule();
         if (mid && distance(q, *mid) < 1e-3) continue;
@@ -431,10 +424,11 @@ TEST(Lemma612, LargerTrimShrinksSafeArea) {
 
 TEST(SafeArea2D, CollinearInputsMatchTheTrimmedInterval) {
   // On collinear values the D = 2 safe area is the 1-D trimmed interval
-  // [s_(t+1), s_(m-t)] along the line. The C(m, t) enumeration returns a
-  // segment that is too long on ~1% of such inputs: sliver restriction hulls
-  // whose near-parallel edges never cap it. The first draw below (diagonal,
-  // no duplicates) is one: at t = 2 it reached 0.31 past s_(m-t).
+  // [s_(t+1), s_(m-t)] along the line. The C(m, t) enumeration can return a
+  // segment that is too long (~1% of random m = 11 inputs at t = 2): sliver
+  // restriction hulls whose near-parallel edges never cap it. The first draw
+  // below (diagonal, no duplicates) is one, at every t in 1..5; at t = 2 its
+  // segment reached 0.31 past s_(m-t).
   struct Line {
     Vec base;
     Vec dir;
